@@ -28,6 +28,7 @@ from . import gf, poly
 from .code import ConstacyclicCode, min_hamming_distance
 from .errors import (
     BadParameterError,
+    BudgetExceededError,
     NotCoprimeError,
     NotRepeatedRootError,
     NotUnionOfCosetsError,
@@ -113,23 +114,22 @@ def repeated_root_shape(code: ConstacyclicCode, seed: int = 0) -> RepeatedRootSh
     """Factor-multiplicity shape of a repeated-root cyclic code.
 
     Raises NotRepeatedRootError unless the code is cyclic with n = l * p^e,
-    e >= 1 and l > 1.
+    e >= 1 and l > 1.  Computed once per code object: ``poly.factor`` sorts
+    its output, so the shape does not depend on ``seed``.
     """
-    if not code.is_cyclic:
+    if code._shape is not None:
+        return code._shape
+    split = code.repeated_root_split
+    if split is None:
+        if not code.is_cyclic:
+            raise NotRepeatedRootError(
+                f"repeated-root analysis needs a cyclic code, got lambda = {code.lam}")
+        if code.is_simple_root:
+            raise NotRepeatedRootError(
+                f"gcd(n, p) = 1: [{code.n}] over GF({code.field.q}) is simple-root")
         raise NotRepeatedRootError(
-            f"repeated-root analysis needs a cyclic code, got lambda = {code.lam}")
-    p = code.field.p
-    n = code.n
-    if n % p != 0:
-        raise NotRepeatedRootError(f"gcd(n, p) = 1: [{n}] over GF({code.field.q}) is simple-root")
-    e = 0
-    ell = n
-    while ell % p == 0:
-        ell //= p
-        e += 1
-    if ell == 1:
-        raise NotRepeatedRootError(
-            f"n = {n} is a pure power of the characteristic; need l > 1 in n = l * p^e")
+            f"n = {code.n} is a pure power of the characteristic; need l > 1 in n = l * p^e")
+    ell, e = split
     base_factors = poly.factor(poly.binomial(code.field, ell, 1), seed=seed)
     assert base_factors.unit == 1
     factors = tuple((f, poly.multiplicity(code.g, f)) for f, mult in base_factors)
@@ -138,8 +138,9 @@ def repeated_root_shape(code: ConstacyclicCode, seed: int = 0) -> RepeatedRootSh
     for f, mult in factors:
         rebuilt = rebuilt * f ** mult
     assert rebuilt == code.g, "generator must factor over x^l - 1"
-    assert all(mult <= p ** e for _, mult in factors)
-    return RepeatedRootShape(field=code.field, ell=ell, e=e, factors=factors)
+    assert all(mult <= code.field.p ** e for _, mult in factors)
+    code._shape = RepeatedRootShape(field=code.field, ell=ell, e=e, factors=factors)
+    return code._shape
 
 
 def radix_p_product(t: int, p: int) -> int:
@@ -181,50 +182,58 @@ class CastagnoliTerm:
     contribution: int | float
 
 
-def castagnoli_details(code: ConstacyclicCode, seed: int = 0, jobs: int = 1):
+def castagnoli_details(code: ConstacyclicCode, seed: int = 0, *,
+                       budget: int | None = None):
     """(distance, per-t terms, enumeration count) of the product formula.
 
     The distance is min over 0 <= t < p^e of P_t * d_H(residue_t); zero
     residue codes contribute INF and cannot all occur for a nonzero code.
-    Residue distances are certified by exhaustive or bounded enumeration.
+    Residue distances are certified by exhaustive or bounded enumeration,
+    which together may spend at most ``budget`` encodings.  The result is
+    kept on the code object, so later calls within budget reuse it.
     """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
+    if code._castagnoli is not None and (budget is None or code._castagnoli[2] <= budget):
+        return code._castagnoli
     shape = repeated_root_shape(code, seed=seed)
-    pe = shape.p ** shape.e
-    cache: dict[tuple[int, ...], tuple[int | float, int]] = {}
+    cache: dict[poly.Poly, int | float] = {}
     terms = []
     enumerated = 0
-    for t in range(pe):
-        key = tuple(i for i, (_f, mult) in enumerate(shape.factors) if mult > t)
-        if key not in cache:
-            res = residue_code(shape, t)
+    for t in range(shape.p ** shape.e):
+        res = residue_code(shape, t)
+        if res.g not in cache:
             if res.k == 0:
-                cache[key] = (INF, 0)
+                cache[res.g] = INF
             elif res.k == res.n:
-                cache[key] = (1, 0)
+                cache[res.g] = 1
             else:
                 strategy = ("exhaustive"
                             if res.field.q ** res.k <= _RESIDUE_EXHAUSTIVE_LIMIT
                             else "bounded_weight")
-                result = min_hamming_distance(res, strategy, jobs=jobs)
-                cache[key] = (result.value, result.enumeration_count)
-            enumerated += cache[key][1]
-        d_t, _ = cache[key]
+                remaining = None if budget is None else budget - enumerated
+                try:
+                    result = min_hamming_distance(res, strategy, budget=remaining)
+                except BudgetExceededError as exc:
+                    raise BudgetExceededError(
+                        f"product formula, residue code t = {t}: {exc}",
+                        lower_bound=1, enumerated=enumerated + exc.enumerated) from exc
+                cache[res.g] = result.value
+                enumerated += result.enumeration_count
+        d_t = cache[res.g]
         P_t = radix_p_product(t, shape.p)
         terms.append(CastagnoliTerm(
-            t=t, radix_product=P_t,
-            residue_generator=residue_code(shape, t).g,
-            residue_distance=d_t,
+            t=t, radix_product=P_t, residue_generator=res.g, residue_distance=d_t,
             contribution=INF if d_t is INF else P_t * d_t))
     value = min(term.contribution for term in terms)
     assert value is not INF, "a nonzero code has a nonzero residue code"
-    return int(value), tuple(terms), enumerated
+    code._castagnoli = (int(value), tuple(terms), enumerated)
+    return code._castagnoli
 
 
-def castagnoli_distance(code: ConstacyclicCode, seed: int = 0, jobs: int = 1) -> int:
+def castagnoli_distance(code: ConstacyclicCode, seed: int = 0) -> int:
     """Exact minimum Hamming distance of a repeated-root cyclic code."""
-    return castagnoli_details(code, seed=seed, jobs=jobs)[0]
+    return castagnoli_details(code, seed=seed)[0]
 
 
 @dataclass(frozen=True)
@@ -361,11 +370,7 @@ def bound_report(code: ConstacyclicCode, d_hamming: int | None = None,
         floor = pair_distance_floor(code.n, code.k, d_hamming)
     else:
         floor = PairDistanceFloor(False, None, False)
-    try:
-        shape_ok = repeated_root_shape(code, seed=seed) is not None
-    except NotRepeatedRootError:
-        shape_ok = False
-    if shape_ok:
+    if code.repeated_root_split is not None:
         castagnoli = castagnoli_distance(code, seed=seed)
         rr_floor = (repeated_root_pair_floor(code, d_hamming, seed=seed)
                     if d_hamming is not None

@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="abort after N encodings (exit code 3)")
         p.add_argument("--seed", type=int, default=0, metavar="N",
                        help="seed for randomized factoring (default: 0)")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="parallel enumeration shards (default: 1)")
         p.add_argument("--out", type=Path, default=None, metavar="PATH",
                        help="also write the JSON report to PATH")
         p.add_argument("--json", action="store_true",
@@ -74,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", default="fast", choices=list(verify_mod.TIERS))
     p.add_argument("--only", action="append", default=None, metavar="NAME",
                    help="run only the named check (repeatable)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("search", help="scan all cyclic codes of one length for "
@@ -125,8 +122,7 @@ def _human_report(report: AnalysisReport) -> str:
 def _cmd_analyze(args) -> int:
     code = load_code_spec(args.spec)
     try:
-        report = analyze(code, args.strategy, budget=args.budget,
-                         seed=args.seed, jobs=args.jobs)
+        report = analyze(code, args.strategy, budget=args.budget, seed=args.seed)
     except BudgetExceededError as exc:
         _emit(exc.partial, args, f"budget exhausted: {exc}")
         return EXIT_BUDGET
@@ -150,8 +146,7 @@ def _cmd_construct(args) -> int:
     if args.out is not None:
         save_code_spec(code, args.out)  # spec file, directly consumable by analyze
     try:
-        report = analyze(code, args.strategy, budget=args.budget,
-                         seed=args.seed, jobs=args.jobs)
+        report = analyze(code, args.strategy, budget=args.budget, seed=args.seed)
     except BudgetExceededError as exc:
         print(json.dumps(exc.partial, indent=2) if args.json
               else f"budget exhausted: {exc}")
@@ -166,7 +161,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_checks(tier=args.tier, only=args.only, jobs=args.jobs)
+    results = verify_mod.run_checks(tier=args.tier, only=args.only)
     if args.json:
         print(json.dumps([{
             "name": r.name, "tier": r.tier, "passed": r.passed,
@@ -209,8 +204,7 @@ def _human_search(payload: dict) -> str:
 def _cmd_search(args) -> int:
     try:
         entries = search_optimal_cyclic(args.q, args.n, max_codes=args.max_codes,
-                                        budget=args.budget, jobs=args.jobs,
-                                        seed=args.seed)
+                                        budget=args.budget, seed=args.seed)
     except BudgetExceededError as exc:
         payload = _search_payload(exc.partial, args.q, args.n, args.seed, truncated=True)
         _emit(payload, args, _human_search(payload) + f"\nbudget exhausted: {exc}")

@@ -26,15 +26,13 @@ Enumeration is vectorized: message blocks hit the generator matrix as one
 batched float matmul (exact: entries stay far below 2^53, and float32 is
 used only while (q-1)^2 * t < 2^24) for prime fields, or as table-gather
 accumulation for extension fields.  Levels are always scanned completely,
-so results and enumeration counts are deterministic and independent of the
-worker count.
+in a fixed order, so results and enumeration counts are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +197,9 @@ class ConstacyclicCode:
         self._defining_set = frozenset(defining_set) if defining_set is not None else None
         self._check_poly: poly.Poly | None = None
         self._std_form: np.ndarray | None = None
+        # filled by bounds.repeated_root_shape / bounds.castagnoli_details
+        self._shape = None
+        self._castagnoli = None
 
     # -- constructors --------------------------------------------------
 
@@ -260,6 +261,19 @@ class ConstacyclicCode:
     @property
     def is_simple_root(self) -> bool:
         return self.n % self.field.p != 0
+
+    @property
+    def repeated_root_split(self) -> tuple[int, int] | None:
+        """(l, e) with n = l * p^e, e >= 1 and l > 1 when the code is
+        repeated-root cyclic; None otherwise.  Plain arithmetic, no factoring."""
+        if not self.is_cyclic or self.is_simple_root:
+            return None
+        p = self.field.p
+        ell, e = self.n, 0
+        while ell % p == 0:
+            ell //= p
+            e += 1
+        return (ell, e) if ell > 1 else None
 
     def check_polynomial(self) -> poly.Poly:
         """h = (x^n - lambda) / g."""
@@ -378,13 +392,11 @@ def colex_combinations(n: int, t: int):
 class _Enumerator:
     """Streams nonzero-codeword masks for weight levels or full scans."""
 
-    def __init__(self, code: ConstacyclicCode, jobs: int = 1):
-        self.code = code
+    def __init__(self, code: ConstacyclicCode):
         self.field = code.field
         self.q = code.field.q
         self.k = code.k
         self.n = code.n
-        self.jobs = max(1, jobs)
         self.count = 0
         G = code.standard_form()
         self.G_int = G
@@ -470,21 +482,13 @@ class _Enumerator:
                 yield batch, sl
 
     def scan_level(self, t: int, row_stat) -> int:
-        """min of row_stat over all weight-t messages; deterministic in jobs."""
-
-        def run(task):
-            batch, (lo, hi) = task
+        """min of row_stat over all weight-t messages."""
+        stats = []
+        for batch, (lo, hi) in self._level_tasks(t):
             digits = self._value_block(lo, hi, t, self.q - 1, 1)
-            return row_stat(self._encode_block(digits, batch))
-
-        tasks = self._level_tasks(t)
-        if self.jobs == 1:
-            best = min(map(run, tasks))
-        else:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                best = min(pool.map(run, tasks))
+            stats.append(row_stat(self._encode_block(digits, batch)))
         self.count += self.level_size(t)
-        return best
+        return min(stats)
 
     def scan_all(self, row_stat) -> int:
         """min of row_stat over all q^k - 1 nonzero codewords."""
@@ -492,20 +496,12 @@ class _Enumerator:
         if total >= 1 << 62:
             raise OutOfScopeError(f"q^k = {total + 1} overflows the exhaustive scanner")
         block = max(1, _CELL_BUDGET // self.n)
-        tasks = [(lo, min(lo + block, total + 1)) for lo in range(1, total + 1, block)]
-
-        def run(span):
-            lo, hi = span
-            digits = self._value_block(lo, hi, self.k, self.q, 0)
-            return row_stat(self._encode_block(digits, None))
-
-        if self.jobs == 1:
-            best = min(map(run, tasks))
-        else:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                best = min(pool.map(run, tasks))
+        stats = []
+        for lo in range(1, total + 1, block):
+            digits = self._value_block(lo, min(lo + block, total + 1), self.k, self.q, 0)
+            stats.append(row_stat(self._encode_block(digits, None)))
         self.count += total
-        return best
+        return min(stats)
 
 
 def _stat_min_weight(nz: np.ndarray) -> int:
@@ -552,22 +548,14 @@ def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) 
         if for_pair:
             raise StrategyInapplicableError(
                 "the castagnoli strategy computes Hamming distance only")
-        from . import bounds
-        from .errors import NotRepeatedRootError
-        try:
-            bounds.repeated_root_shape(code)
-        except NotRepeatedRootError as exc:
-            raise StrategyInapplicableError(f"castagnoli strategy: {exc}") from exc
+        if code.repeated_root_split is None:
+            raise StrategyInapplicableError(
+                f"castagnoli strategy needs a repeated-root cyclic code "
+                f"(lambda = 1, n = l * p^e with e >= 1 and l > 1), got {code!r}")
         return "castagnoli"
     if strategy == "auto":
-        if not for_pair and code.is_cyclic and not code.is_simple_root:
-            from . import bounds
-            from .errors import NotRepeatedRootError
-            try:
-                bounds.repeated_root_shape(code)
-                return "castagnoli"
-            except NotRepeatedRootError:
-                pass
+        if not for_pair and code.repeated_root_split is not None:
+            return "castagnoli"
         if code.field.q ** code.k - 1 <= _AUTO_EXHAUSTIVE_LIMIT:
             return "exhaustive"
         return "bounded_weight"
@@ -576,13 +564,14 @@ def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) 
 
 
 def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,
-                         budget: int | None = None, max_weight: int | None = None,
-                         jobs: int = 1) -> DistanceResult:
+                         budget: int | None = None,
+                         max_weight: int | None = None) -> DistanceResult:
     """Exact minimum Hamming distance (or a certified lower bound).
 
     With ``max_weight=w`` the bounded scan stops after message-weight level
     w; if no codeword of weight <= w + 1 was pinned down the result carries
-    ``is_lower_bound=True`` with value w + 1.
+    ``is_lower_bound=True`` with value w + 1.  The castagnoli strategy
+    ignores ``max_weight`` but spends ``budget`` on its residue codes.
     """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
@@ -590,10 +579,10 @@ def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,
 
     if resolved == "castagnoli":
         from . import bounds
-        value, _terms, enumerated = bounds.castagnoli_details(code)
+        value, _terms, enumerated = bounds.castagnoli_details(code, budget=budget)
         return DistanceResult(value, "castagnoli", True, enumerated)
 
-    enum = _Enumerator(code, jobs=jobs)
+    enum = _Enumerator(code)
 
     if resolved == "exhaustive":
         total = code.field.q ** code.k - 1
@@ -621,7 +610,7 @@ def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,
 
 
 def min_pair_distance(code: ConstacyclicCode, strategy: str = "auto", *,
-                      budget: int | None = None, jobs: int = 1) -> DistanceResult:
+                      budget: int | None = None) -> DistanceResult:
     """Exact minimum pair distance (= min pair weight over nonzero codewords).
 
     The bounded strategy deepens through message-weight levels t and stops
@@ -634,7 +623,7 @@ def min_pair_distance(code: ConstacyclicCode, strategy: str = "auto", *,
     if code.n < 2:
         raise LengthTooShortError("pair distance needs n >= 2")
     resolved = _resolve_strategy(code, strategy, for_pair=True)
-    enum = _Enumerator(code, jobs=jobs)
+    enum = _Enumerator(code)
 
     if resolved == "exhaustive":
         total = code.field.q ** code.k - 1

@@ -102,22 +102,22 @@ def _require_odd_prime_at_least(p, minimum: int) -> None:
 
 
 def _certified(code: ConstacyclicCode, spec: FamilySpec, certify: str,
-               budget: int | None, jobs: int) -> ConstructionResult:
+               budget: int | None) -> ConstructionResult:
     """Run the requested enumeration and check it against the expectations."""
     d_h = d_p = None
     if certify in ("hamming", "full") or code.n % code.field.p == 0:
         # the repeated-root families certify d_H for free via the product
         # formula, so the "bounds" level gets it too
-        d_h = min_hamming_distance(code, "auto", budget=budget, jobs=jobs)
+        d_h = min_hamming_distance(code, "auto", budget=budget)
         assert d_h.certified and d_h.value == spec.expected_d_hamming
     if certify == "full":
-        d_p = min_pair_distance(code, "auto", budget=budget, jobs=jobs)
+        d_p = min_pair_distance(code, "auto", budget=budget)
         assert d_p.certified and d_p.value == spec.expected_d_pair
     return ConstructionResult(code=code, family=spec, d_hamming=d_h, d_pair=d_p)
 
 
-def mds_3p_7(p: int, certify: str = "hamming", *, budget: int | None = None,
-             jobs: int = 1) -> ConstructionResult:
+def mds_3p_7(p: int, certify: str = "hamming", *,
+             budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-5, 4] cyclic code over GF(p) with pair distance 7, p >= 5 prime."""
     _require_certify(certify)
     _require_odd_prime_at_least(p, 5)
@@ -127,11 +127,11 @@ def mds_3p_7(p: int, certify: str = "hamming", *, budget: int | None = None,
     g = (x - one) ** 3 * poly.Poly(field, (1, 1, 1))
     code = ConstacyclicCode(field, 3 * p, 1, g)
     spec = FamilySpec("MDS_3P_7", {"p": p}, 3 * p, 3 * p - 5, 4, 7)
-    return _certified(code, spec, certify, budget, jobs)
+    return _certified(code, spec, certify, budget)
 
 
-def mds_3p_8(p: int, certify: str = "hamming", *, budget: int | None = None,
-             jobs: int = 1) -> ConstructionResult:
+def mds_3p_8(p: int, certify: str = "hamming", *,
+             budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-6, 4] cyclic code over GF(p) with pair distance 8, p = 1 mod 3."""
     _require_certify(certify)
     _require_odd_prime_at_least(p, 5)
@@ -146,11 +146,11 @@ def mds_3p_8(p: int, certify: str = "hamming", *, budget: int | None = None,
          * (x - poly.Poly(field, (field.mul(omega, omega),))))
     code = ConstacyclicCode(field, 3 * p, 1, g)
     spec = FamilySpec("MDS_3P_8", {"p": p}, 3 * p, 3 * p - 6, 4, 8)
-    return _certified(code, spec, certify, budget, jobs)
+    return _certified(code, spec, certify, budget)
 
 
-def mds_3p_6(p: int, certify: str = "hamming", *, budget: int | None = None,
-             jobs: int = 1) -> ConstructionResult:
+def mds_3p_6(p: int, certify: str = "hamming", *,
+             budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-4, 3] cyclic code over GF(p) with pair distance 6, p >= 5 prime."""
     _require_certify(certify)
     _require_odd_prime_at_least(p, 5)
@@ -160,11 +160,11 @@ def mds_3p_6(p: int, certify: str = "hamming", *, budget: int | None = None,
     g = (x - one) * poly.binomial(field, 3, 1)
     code = ConstacyclicCode(field, 3 * p, 1, g)
     spec = FamilySpec("MDS_3P_6", {"p": p}, 3 * p, 3 * p - 4, 3, 6)
-    return _certified(code, spec, certify, budget, jobs)
+    return _certified(code, spec, certify, budget)
 
 
-def mds_n_6(q: int, n: int, certify: str = "hamming", *, budget: int | None = None,
-            jobs: int = 1) -> ConstructionResult:
+def mds_n_6(q: int, n: int, certify: str = "hamming", *,
+            budget: int | None = None) -> ConstructionResult:
     """[n, n-4, 4] cyclic code over GF(q) with pair distance 6, from the
     defining set C_0 u C_1 u C_{q+1} mod n, where n | q^2 - 1 and n >= q + 4."""
     _require_certify(certify)
@@ -189,7 +189,7 @@ def mds_n_6(q: int, n: int, certify: str = "hamming", *, budget: int | None = No
     assert code.k == spec.expected_k
     from .bounds import hartmann_tzeng_bound
     assert hartmann_tzeng_bound(defining, n, q) >= spec.expected_d_hamming
-    return _certified(code, spec, certify, budget, jobs)
+    return _certified(code, spec, certify, budget)
 
 
 def _field_of_order(q: int) -> gf.Field:
@@ -222,8 +222,7 @@ class SearchEntry:
 
 
 def search_optimal_cyclic(q: int, n: int, max_codes: int | None = None,
-                          budget: int | None = None, *, jobs: int = 1,
-                          seed: int = 0) -> list[SearchEntry]:
+                          budget: int | None = None, *, seed: int = 0) -> list[SearchEntry]:
     """Certified (d_H, d_p) for every nontrivial cyclic code of length n over
     GF(q), flagging codes that meet the pair-Singleton bound with equality.
 
@@ -251,9 +250,9 @@ def search_optimal_cyclic(q: int, n: int, max_codes: int | None = None,
             g = g * f ** e
         code = ConstacyclicCode(field, n, 1, g)
         try:
-            d_h = min_hamming_distance(code, "auto", budget=remaining(), jobs=jobs)
+            d_h = min_hamming_distance(code, "auto", budget=remaining())
             spent += d_h.enumeration_count
-            d_p = min_pair_distance(code, "auto", budget=remaining(), jobs=jobs)
+            d_p = min_pair_distance(code, "auto", budget=remaining())
             spent += d_p.enumeration_count
         except BudgetExceededError as exc:
             raise BudgetExceededError(

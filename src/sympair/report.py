@@ -13,7 +13,7 @@ multiplication by q modulo n.
 ``analyze`` bundles everything the toolkit knows about one code into an
 ``AnalysisReport``.  Reports serialize to JSON with a stable key order, and
 everything outside the "perf" key is deterministic for fixed inputs, seed,
-and toolkit version — byte-identical across runs and job counts.
+and toolkit version — byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def _partial_report(exc: BudgetExceededError, code: ConstacyclicCode, seed: int,
 
 
 def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
-            budget: int | None = None, seed: int = 0, jobs: int = 1) -> AnalysisReport:
+            budget: int | None = None, seed: int = 0) -> AnalysisReport:
     """Certify both distances, attach every applicable bound, set MDS flags.
 
     ``strategy`` follows min_hamming_distance; "castagnoli" applies to the
@@ -188,7 +188,7 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
     t0 = time.perf_counter()
     pair_strategy = "auto" if strategy == "castagnoli" else strategy
     try:
-        d_h = min_hamming_distance(code, strategy, budget=budget, jobs=jobs)
+        d_h = min_hamming_distance(code, strategy, budget=budget)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             str(exc), lower_bound=exc.lower_bound, upper_bound=exc.upper_bound,
@@ -196,7 +196,7 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
             partial=_partial_report(exc, code, seed, "d_hamming", None)) from exc
     remaining = None if budget is None else budget - d_h.enumeration_count
     try:
-        d_p = min_pair_distance(code, pair_strategy, budget=remaining, jobs=jobs)
+        d_p = min_pair_distance(code, pair_strategy, budget=remaining)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             str(exc), lower_bound=exc.lower_bound, upper_bound=exc.upper_bound,
@@ -215,7 +215,6 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
         perf={
             "seconds": round(time.perf_counter() - t0, 6),
             "encodings": d_h.enumeration_count + d_p.enumeration_count,
-            "jobs": jobs,
         },
     )
     return report

@@ -2,9 +2,10 @@
 
 Each check rebuilds a reference code from scratch, recomputes every claimed
 quantity, and compares the result — exactly, no tolerances — against the
-frozen ``EXPECTED`` table.  The ``fast`` tier finishes in a couple of
-minutes on one core; ``full`` adds the long certifications (several
-hundred million encodings each).
+frozen ``EXPECTED`` table.  The ``fast`` tier takes about 5.5 minutes on
+one core of a 2-core machine, most of it in ``family-3p6-p11``; ``full``
+adds the long certifications (several hundred million encodings each)
+and takes about 11 minutes in all.
 
 Check names describe the object under test, e.g. ``code-24-3-19-gf5`` is
 the [24, 3, 19] code over GF(5).
@@ -74,7 +75,7 @@ def check_names(tier: str = "full") -> list[str]:
     return [name for name, (t, _f) in _CHECKS.items() if tier == "full" or t == "fast"]
 
 
-def run_checks(tier: str = "fast", only=None, jobs: int = 1) -> list[CheckResult]:
+def run_checks(tier: str = "fast", only=None) -> list[CheckResult]:
     """Run the suite; ``only`` (iterable of names) overrides tier selection."""
     if only is not None:
         names = list(only)
@@ -88,7 +89,7 @@ def run_checks(tier: str = "fast", only=None, jobs: int = 1) -> list[CheckResult
     for name in names:
         _tier, func = _CHECKS[name]
         t0 = time.perf_counter()
-        computed = func(jobs)
+        computed = func()
         seconds = time.perf_counter() - t0
         expected = EXPECTED[name]
         results.append(CheckResult(name=name, tier=_tier,
@@ -102,12 +103,12 @@ def run_checks(tier: str = "fast", only=None, jobs: int = 1) -> list[CheckResult
 # reference codes
 
 @_check("code-24-3-19-gf5", "fast")
-def _code_24_3_19(jobs: int) -> dict:
+def _code_24_3_19() -> dict:
     field = gf.prime_field(5)
     exponents = sorted(set(range(24)) - {0, 19, 23})
     code = ConstacyclicCode.from_defining_set(field, 24, exponents)
-    d_h = min_hamming_distance(code, jobs=jobs)
-    d_p = min_pair_distance(code, jobs=jobs)
+    d_h = min_hamming_distance(code)
+    d_p = min_pair_distance(code)
     bounds = bound_report(code, d_hamming=d_h.value)
     return {
         "n": code.n, "k": code.k,
@@ -123,14 +124,14 @@ def _code_24_3_19(jobs: int) -> dict:
 
 
 @_check("code-15-11-3-gf5", "fast")
-def _code_15_11_3(jobs: int) -> dict:
+def _code_15_11_3() -> dict:
     field = gf.prime_field(5)
     x = poly.Poly.x(field)
     g = (x - poly.Poly.one(field)) * poly.binomial(field, 3, 1)
     code = ConstacyclicCode(field, 15, 1, g)
     cast = castagnoli_distance(code)
-    d_h = min_hamming_distance(code, "bounded_weight", jobs=jobs)
-    d_p = min_pair_distance(code, jobs=jobs)
+    d_h = min_hamming_distance(code, "bounded_weight")
+    d_p = min_pair_distance(code)
     bounds = bound_report(code, d_hamming=cast)
     return {
         "n": code.n, "k": code.k,
@@ -145,14 +146,14 @@ def _code_15_11_3(jobs: int) -> dict:
 
 
 @_check("code-21-14-5-gf7", "full")
-def _code_21_14_5(jobs: int) -> dict:
+def _code_21_14_5() -> dict:
     field = gf.prime_field(7)
     x = poly.Poly.x(field)
     c = lambda v: poly.Poly(field, (v,))
     g = (x - c(1)) ** 4 * (x - c(2)) ** 2 * (x - c(4))
     code = ConstacyclicCode(field, 21, 1, g)
     witness = (6, 4, 1, 1, 0, 0, 0, 0, 0, 0, 3, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    d_p = min_pair_distance(code, jobs=jobs)
+    d_p = min_pair_distance(code)
     return {
         "n": code.n, "k": code.k,
         "castagnoli": castagnoli_distance(code),
@@ -177,39 +178,39 @@ def _family_summary(result) -> dict:
 
 
 @_check("family-3p7-p5", "fast")
-def _family_3p7_p5(jobs: int) -> dict:
-    return _family_summary(mds_3p_7(5, "full", jobs=jobs))
+def _family_3p7_p5() -> dict:
+    return _family_summary(mds_3p_7(5, "full"))
 
 
 @_check("family-3p7-p7", "full")
-def _family_3p7_p7(jobs: int) -> dict:
-    return _family_summary(mds_3p_7(7, "full", jobs=jobs))
+def _family_3p7_p7() -> dict:
+    return _family_summary(mds_3p_7(7, "full"))
 
 
 @_check("family-3p8-p7", "full")
-def _family_3p8_p7(jobs: int) -> dict:
-    out = _family_summary(mds_3p_8(7, "full", jobs=jobs))
+def _family_3p8_p7() -> dict:
+    out = _family_summary(mds_3p_8(7, "full"))
     out["omega"] = gf.primitive_cube_root(7).value
     return out
 
 
 @_check("family-3p6-p5", "fast")
-def _family_3p6_p5(jobs: int) -> dict:
-    return _family_summary(mds_3p_6(5, "full", jobs=jobs))
+def _family_3p6_p5() -> dict:
+    return _family_summary(mds_3p_6(5, "full"))
 
 
 @_check("family-3p6-p7", "fast")
-def _family_3p6_p7(jobs: int) -> dict:
-    return _family_summary(mds_3p_6(7, "full", jobs=jobs))
+def _family_3p6_p7() -> dict:
+    return _family_summary(mds_3p_6(7, "full"))
 
 
 @_check("family-3p6-p11", "fast")
-def _family_3p6_p11(jobs: int) -> dict:
-    return _family_summary(mds_3p_6(11, "full", jobs=jobs))
+def _family_3p6_p11() -> dict:
+    return _family_summary(mds_3p_6(11, "full"))
 
 
-def _family_n6_summary(q: int, n: int, certify: str, jobs: int) -> dict:
-    result = mds_n_6(q, n, certify, jobs=jobs)
+def _family_n6_summary(q: int, n: int, certify: str) -> dict:
+    result = mds_n_6(q, n, certify)
     out = _family_summary(result)
     defining = sorted(result.code.defining_set())
     out["defining_set"] = defining
@@ -218,24 +219,24 @@ def _family_n6_summary(q: int, n: int, certify: str, jobs: int) -> dict:
 
 
 @_check("family-n6-q3-n8", "fast")
-def _family_n6_q3_n8(jobs: int) -> dict:
-    return _family_n6_summary(3, 8, "full", jobs)
+def _family_n6_q3_n8() -> dict:
+    return _family_n6_summary(3, 8, "full")
 
 
 @_check("family-n6-q5-n24", "fast")
-def _family_n6_q5_n24(jobs: int) -> dict:
-    return _family_n6_summary(5, 24, "full", jobs)
+def _family_n6_q5_n24() -> dict:
+    return _family_n6_summary(5, 24, "full")
 
 
 @_check("family-n6-q7-n16", "fast")
-def _family_n6_q7_n16(jobs: int) -> dict:
-    return _family_n6_summary(7, 16, "full", jobs)
+def _family_n6_q7_n16() -> dict:
+    return _family_n6_summary(7, 16, "full")
 
 
 @_check("family-n6-q7-n48", "fast")
-def _family_n6_q7_n48(jobs: int) -> dict:
+def _family_n6_q7_n48() -> dict:
     # certification level "bounds": structural + Hartmann-Tzeng only
-    return _family_n6_summary(7, 48, "bounds", jobs)
+    return _family_n6_summary(7, 48, "bounds")
 
 
 # ----------------------------------------------------------------------
@@ -254,21 +255,21 @@ def _divisor_codes(field: gf.Field, n: int):
         yield ConstacyclicCode(field, n, 1, g)
 
 
-def _enumerated_hamming(code: ConstacyclicCode, jobs: int):
+def _enumerated_hamming(code: ConstacyclicCode):
     strategy = "exhaustive" if code.field.q ** code.k <= 4096 else "bounded_weight"
-    return min_hamming_distance(code, strategy, jobs=jobs)
+    return min_hamming_distance(code, strategy)
 
 
 @_check("castagnoli-vs-enumeration", "fast")
-def _castagnoli_sweep(jobs: int) -> dict:
+def _castagnoli_sweep() -> dict:
     cases = ((2, 3, 1), (4, 3, 1), (3, 5, 1), (2, 5, 1), (2, 3, 2))
     codes = agreements = sandwich_bad = singleton_bad = 0
     for ell, p, e in cases:
         field = gf.prime_field(p)
         n = ell * p ** e
         for code in _divisor_codes(field, n):
-            d_h = _enumerated_hamming(code, jobs).value
-            d_p = min_pair_distance(code, jobs=jobs).value
+            d_h = _enumerated_hamming(code).value
+            d_p = min_pair_distance(code).value
             codes += 1
             agreements += castagnoli_distance(code) == d_h
             if 0 < d_h < n and not (d_h + 1 <= d_p <= 2 * d_h):
@@ -281,7 +282,7 @@ def _castagnoli_sweep(jobs: int) -> dict:
 
 
 @_check("pair-floor-iff-sweep", "fast")
-def _pair_floor_sweep(jobs: int) -> dict:
+def _pair_floor_sweep() -> dict:
     corpora = ((2, range(2, 16)), (3, range(2, 10)))
     codes = iff_bad = floor_bad = part2_cases = part2_bad = singleton_bad = 0
     for q, lengths in corpora:
@@ -290,11 +291,11 @@ def _pair_floor_sweep(jobs: int) -> dict:
             for code in _divisor_codes(field, n):
                 if code.k == n:
                     continue
-                d_h = _enumerated_hamming(code, jobs).value
+                d_h = _enumerated_hamming(code).value
                 if not 2 <= d_h < n:
                     continue  # only k=1 full-weight codes fall outside
                 codes += 1
-                d_p = min_pair_distance(code, jobs=jobs).value
+                d_p = min_pair_distance(code).value
                 floor = pair_distance_floor(n, code.k, d_h)
                 is_mds = code.k == n - d_h + 1
                 if (d_p == d_h + 1) != is_mds:
@@ -314,8 +315,7 @@ def _pair_floor_sweep(jobs: int) -> dict:
 
 
 @_check("pair-metric-identities", "fast")
-def _pair_metric_identities(jobs: int) -> dict:
-    del jobs  # scalar work
+def _pair_metric_identities() -> dict:
     rng = random.Random(170023)
     fields = (gf.prime_field(2), gf.prime_field(3), gf.prime_field(5),
               gf.prime_field(7), gf.extension_field(2, 3), gf.extension_field(3, 2))

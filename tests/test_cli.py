@@ -191,6 +191,16 @@ def test_search_budget_truncates_with_exit_3(capsys):
     assert 0 < len(payload["entries"]) < 30
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "SPEC"], ["construct", "mds_3p_6", "--p", "5"], ["verify"],
+    ["search", "--q", "3", "--n", "8"]])
+def test_jobs_option_is_gone(tmp_path, command):
+    argv = [_write_spec(tmp_path, SPEC_15_11) if a == "SPEC" else a for a in command]
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(argv + ["--jobs", "2"])
+    assert exc_info.value.code == 2
+
+
 def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["--help"])

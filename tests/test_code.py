@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from sympair import code, errors, gf, poly
+from sympair import code, constructions, errors, gf, poly
 from sympair.code import ConstacyclicCode
 from sympair.poly import Poly
 
@@ -303,15 +303,37 @@ def test_codewords_enumerates_whole_code():
     assert all(c.is_member(w) for w in words)
 
 
-def test_sharded_runs_match_single_job():
-    c = _example_15_11()
-    lone = code.min_pair_distance(c, "bounded", jobs=1)
-    sharded = code.min_pair_distance(c, "bounded", jobs=3)
-    assert (lone.value, lone.certified, lone.enumeration_count) == (
-        sharded.value,
-        sharded.certified,
-        sharded.enumeration_count,
-    )
+def test_castagnoli_path_honours_budget():
+    built = constructions.mds_3p_6(7, "bounds").code  # product formula already cached
+    fresh = ConstacyclicCode(built.field, built.n, built.lam, built.g)
+    for c in (fresh, built):
+        with pytest.raises(errors.BudgetExceededError) as exc_info:
+            code.min_hamming_distance(c, budget=1)
+        assert exc_info.value.enumerated <= 1
+        r = code.min_hamming_distance(c, budget=48)
+        assert (r.value, r.method, r.enumeration_count) == (3, "castagnoli", 48)
+
+
+def test_cached_product_formula_leaves_enumeration_independent():
+    x, one = Poly.x(F5), Poly.one(F5)
+    c = ConstacyclicCode.from_generator(F5, 15, 1, (x - one) ** 4 * (x**2 + x + one) ** 3)
+    cast = code.min_hamming_distance(c)
+    assert cast.method == "castagnoli"
+    for strategy in ("exhaustive", "bounded"):
+        r = code.min_hamming_distance(c, strategy)
+        assert r.method != "castagnoli"
+        assert r.enumeration_count > 0
+        assert r.value == cast.value
+
+
+def test_repeated_root_split_is_arithmetic():
+    assert _example_15_11().repeated_root_split == (3, 1)
+    assert _example_21_14().repeated_root_split == (3, 1)
+    assert _example_24_3().repeated_root_split is None  # simple root
+    pure = ConstacyclicCode.from_generator(F3, 9, 1, Poly(F3, [2, 1]))
+    assert pure.repeated_root_split is None  # n = p^e
+    neg_g = poly.factor(poly.binomial(F5, 10, 2)).factors[0][0]
+    assert ConstacyclicCode.from_generator(F5, 10, 2, neg_g).repeated_root_split is None
 
 
 def test_as_word_validates_symbols():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import sympair
-from sympair import code, errors, gf, poly, report
+from sympair import code, constructions, errors, gf, poly, report
 from sympair.code import ConstacyclicCode
 from sympair.poly import Poly
 
@@ -99,7 +99,7 @@ def test_analyze_report_key_order_and_perf():
                           "bounds", "mds_hamming", "mds_pair", "perf"]
     stable = rep.to_dict(include_perf=False)
     assert "perf" not in stable
-    assert set(full["perf"]) == {"seconds", "encodings", "jobs"}
+    assert set(full["perf"]) == {"seconds", "encodings"}
     assert full["code"]["generator"] == [1, 4, 0, 4, 1]
     assert full["code"]["beta"] is None  # repeated-root: no root-of-unity frame
 
@@ -107,8 +107,28 @@ def test_analyze_report_key_order_and_perf():
 def test_analyze_byte_determinism():
     first = report.analyze(_example_15_11()).to_dict(include_perf=False)
     second = report.analyze(_example_15_11()).to_dict(include_perf=False)
-    sharded = report.analyze(_example_15_11(), jobs=4).to_dict(include_perf=False)
-    assert json.dumps(first) == json.dumps(second) == json.dumps(sharded)
+    assert json.dumps(first) == json.dumps(second)
+
+
+def test_analyze_factors_a_repeated_root_code_once(monkeypatch):
+    built = constructions.mds_3p_6(5).code
+    fresh = ConstacyclicCode(built.field, built.n, built.lam, built.g)
+    calls = []
+    real_factor = poly.factor
+
+    def counting_factor(*args, **kwargs):
+        calls.append(args)
+        return real_factor(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "factor", counting_factor)
+    rep = report.analyze(fresh)
+    assert len(calls) == 1
+    assert rep.d_hamming.method == "castagnoli"
+    assert rep.bounds.castagnoli_d_hamming == rep.d_hamming.value == 3
+    # the constructor already cached the product formula on ``built``
+    cached = report.analyze(built)
+    assert len(calls) == 1
+    assert cached.to_json(include_perf=False) == rep.to_json(include_perf=False)
 
 
 def test_analyze_records_beta_for_simple_root_codes():
