@@ -46,10 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, *, strategy: bool = False) -> None:
         if strategy:
             p.add_argument("--strategy", default="auto",
-                           choices=["auto", "exhaustive", "bounded", "castagnoli"],
+                           choices=["auto", "exhaustive", "bounded", "dependency", "castagnoli"],
                            help="distance certification strategy (default: auto)")
         p.add_argument("--budget", type=int, default=None, metavar="N",
-                       help="abort after N encodings (exit code 3)")
+                       help="abort after N encodings and column reductions (exit code 3)")
         p.add_argument("--seed", type=int, default=0, metavar="N",
                        help="seed for randomized factoring (default: 0)")
         p.add_argument("--out", type=Path, default=None, metavar="PATH",
@@ -93,15 +93,18 @@ def _emit(payload: dict, args, human: str) -> None:
     print(text if args.json else human)
 
 
+def _work(result) -> str:
+    unit = "column reductions" if result.method == "dependency" else "encodings"
+    return f"{result.method}, {result.enumeration_count} {unit}"
+
+
 def _human_report(report: AnalysisReport) -> str:
     code = report.code
     b = report.bounds
     lines = [
         f"[{code.n},{code.k}] lambda={code.lam} over {code.field!r}, generator {code.g}",
-        f"  d_hamming = {report.d_hamming.value}  ({report.d_hamming.method}, "
-        f"{report.d_hamming.enumeration_count} encodings)",
-        f"  d_pair    = {report.d_pair.value}  ({report.d_pair.method}, "
-        f"{report.d_pair.enumeration_count} encodings)",
+        f"  d_hamming = {report.d_hamming.value}  ({_work(report.d_hamming)})",
+        f"  d_pair    = {report.d_pair.value}  ({_work(report.d_pair)})",
         f"  MDS (Hamming): {'yes' if report.mds_hamming else 'no'}    "
         f"MDS (pair): {'yes' if report.mds_pair else 'no'}",
         f"  pair-Singleton max d_p = {b.singleton_pair_max_dp}",

@@ -7,7 +7,7 @@ its codewords are the coefficient vectors of the degree-< n multiples of g.
 Distance engines
 ----------------
 ``min_hamming_distance`` / ``min_pair_distance`` reduce both distances to
-minimum (pair) weight over nonzero codewords by linearity and support three
+minimum (pair) weight over nonzero codewords by linearity and support four
 strategies:
 
 * ``exhaustive`` — scan all q^k - 1 nonzero codewords.
@@ -19,18 +19,41 @@ strategies:
   Hamming scan is exact once t >= best, and the pair scan is exact once
   t + 1 >= (minimum pair weight seen), because pair weight >= weight + 1
   for words that are neither zero nor all-nonzero and = n otherwise.
+* ``dependency`` — the parity side.  Pair weight depends only on the
+  support S: f(S) = |S| + (circular runs of S) for S != Z_n, f(Z_n) = n,
+  and adding a position never lowers f.  So d_p = min f(S) and d_H =
+  min |S| over the supports S whose columns of the parity-check matrix H
+  are linearly dependent over GF(q).  A constacyclic shift rotates
+  supports, so S may start a run at 0 (0 in S, n - 1 not in S); Z_n, of
+  cost n, is the one exception.  Supports are scanned depth first in
+  increasing position order, one cost level D at a time (iterative
+  deepening), carrying the columns still to test reduced against an
+  echelon basis of the prefix; a prefix is extended only while its cost is
+  below D, and the first dependent support ends the search with value D.
+  ``enumeration_count`` counts column reductions.
 * ``castagnoli`` — repeated-root cyclic codes only; delegates to the
   residue-code product formula in :mod:`sympair.bounds` (Hamming only).
+
+``auto`` keeps ``castagnoli`` for the Hamming side of repeated-root codes.
+Otherwise it compares exact worst-case counts fixed before any work: the
+message side costs q^k - 1 encodings when that is at most 4096 (and is then
+scanned exhaustively), else the bounded-weight level sizes up to the
+Singleton stop t = n - k; the parity side costs, per level D, the number of
+run-start-at-0 supports of at most n - k + 1 positions and cost <= D, up to
+the (pair) weight of g, which is itself a codeword.  The smaller count wins;
+ties go to the message side.
 
 Enumeration is vectorized: message blocks hit the generator matrix as one
 batched float matmul (exact: entries stay far below 2^53, and float32 is
 used only while (q-1)^2 * t < 2^24) for prime fields, or as table-gather
-accumulation for extension fields.  Levels are always scanned completely,
-in a fixed order, so results and enumeration counts are deterministic.
+accumulation for extension fields, whose tables are built once per field.
+Levels are always scanned completely, in a fixed order, so results and
+enumeration counts are deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -70,7 +93,7 @@ class DistanceResult:
     """
 
     value: int
-    method: str  # "exhaustive" | "bounded_weight" | "castagnoli"
+    method: str  # "exhaustive" | "bounded_weight" | "dependency" | "castagnoli"
     certified: bool
     enumeration_count: int
     is_lower_bound: bool = False
@@ -389,6 +412,45 @@ def colex_combinations(n: int, t: int):
             yield rest + (top,)
 
 
+def _level_size(q: int, k: int, t: int) -> int:
+    """Messages of Hamming weight t."""
+    return math.comb(k, t) * (q - 1) ** t
+
+
+@functools.lru_cache(maxsize=None)
+def _field_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int16 addition and multiplication tables of an extension
+    field, built once per field.
+
+    Canonical integers are base-p digit vectors, so addition is digitwise
+    mod p; products go through powers of the primitive element.
+    """
+    q, p = field.q, field.p
+    if q > 1024:
+        raise OutOfScopeError(
+            f"table arithmetic supports extension fields up to order 1024, got {q}")
+    values = np.arange(q, dtype=np.int64)
+    add = np.zeros((q, q), dtype=np.int64)
+    place = 1
+    for _ in range(field.m):
+        digits = values // place % p
+        add += (digits[:, None] + digits[None, :]) % p * place
+        place *= p
+    gen = gf.primitive_element(field).value
+    exp = np.ones(q - 1, dtype=np.int64)
+    for i in range(1, q - 1):
+        exp[i] = field.mul(int(exp[i - 1]), gen)
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+    mul[0, :] = 0
+    mul[:, 0] = 0
+    tables = (add.astype(np.int16), mul.astype(np.int16))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 class _Enumerator:
     """Streams nonzero-codeword masks for weight levels or full scans."""
 
@@ -398,29 +460,15 @@ class _Enumerator:
         self.k = code.k
         self.n = code.n
         self.count = 0
-        G = code.standard_form()
-        self.G_int = G
-        if self.field.base is None:
-            self.tables = None
-        else:
-            if self.q > 1024:
-                raise OutOfScopeError(
-                    f"vectorized enumeration supports extension fields up to order 1024, got {self.q}")
-            F = self.field
-            add = np.empty((self.q, self.q), dtype=np.int16)
-            mul = np.empty((self.q, self.q), dtype=np.int16)
-            for a in range(self.q):
-                for b in range(self.q):
-                    add[a, b] = F.add(a, b)
-                    mul[a, b] = F.mul(a, b)
-            self.tables = (add, mul)
+        self.G_int = code.standard_form()
+        self.tables = None if self.field.base is None else _field_tables(self.field)
 
     # dtype for the float (prime-field) path: float32 while exact
     def _float_dtype(self, terms: int):
         return np.float32 if (self.q - 1) ** 2 * terms < (1 << 24) else np.float64
 
     def level_size(self, t: int) -> int:
-        return math.comb(self.k, t) * (self.q - 1) ** t
+        return _level_size(self.q, self.k, t)
 
     def _encode_block(self, digits: np.ndarray, cols: np.ndarray | None):
         """Nonzero mask of the codewords for a block of message digit rows.
@@ -527,16 +575,131 @@ def _stat_min_pair_weight(nz: np.ndarray, prune_above: int) -> int:
     return int(wp.min())
 
 
-def _require_budget(enum: _Enumerator, next_cost: int, budget: int | None,
-                    lower_bound: int, upper_bound: int | None, what: str) -> None:
-    if budget is not None and enum.count + next_cost > budget:
+def _require_budget(used: int, next_cost: int, budget: int | None,
+                    lower_bound: int, upper_bound: int | None, what: str,
+                    unit: str = "encodings") -> None:
+    if budget is not None and used + next_cost > budget:
         raise BudgetExceededError(
-            f"{what}: next step needs {next_cost} encodings "
-            f"({enum.count} used, budget {budget}); proven so far: >= {lower_bound}",
+            f"{what}: next step needs {next_cost} {unit} "
+            f"({used} used, budget {budget}); proven so far: >= {lower_bound}",
             lower_bound=lower_bound,
             upper_bound=upper_bound,
-            enumerated=enum.count,
+            enumerated=used,
         )
+
+
+# ----------------------------------------------------------------------
+# parity-side dependency search
+
+@functools.lru_cache(maxsize=1024)
+def _dependency_levels(n: int, k: int, for_pair: bool) -> tuple[tuple[int, int], ...]:
+    """(cost D, worst-case column reductions) of every level the dependency
+    search may scan, in order.
+
+    Level D tests each run-start-at-0 support of cost <= D at most once, and
+    no support of more than n - k + 1 positions (its first n - k + 1 columns
+    are already dependent), so the bound is exact when nothing is found: a
+    support of s positions in t runs within 0..n-2 is a composition of s
+    into t parts, with t - 1 nonempty gaps of zeros and one trailing gap.
+    At the Singleton ceiling (k >= 2) the first descent 0, 1, 2, ... reaches
+    a full-rank prefix and stops there, which bounds that level by
+    1 + (n - k)(n - 2) as well.
+    """
+    r, m = n - k, n - 1
+    exact = [0] * (n + 1)
+    for s in range(1, min(m, r + 1) + 1):
+        if for_pair:
+            for runs in range(1, min(s, m - s + 1) + 1):
+                exact[s + runs] += math.comb(s - 1, runs - 1) * math.comb(m - s, runs - 1)
+        else:
+            exact[s] += math.comb(m - 1, s - 1)
+    first = 2 if for_pair else 1
+    if k >= 2:
+        last = r + 2 if for_pair else r + 1
+    else:
+        last = n if for_pair else n - 1
+    levels = []
+    total = 0
+    for cost in range(first, last + 1):
+        total += exact[cost]
+        levels.append((cost, total))
+    if k >= 2:
+        levels[-1] = (last, min(total, 1 + r * (n - 2)))
+    return tuple(levels)
+
+
+class _Dependent(Exception):
+    """A dependent support was found; ends the current level."""
+
+
+def _dependency_search(code: ConstacyclicCode, for_pair: bool,
+                       budget: int | None) -> DistanceResult:
+    """Minimum cost of a support whose parity-check columns are dependent."""
+    n, k = code.n, code.k
+    F = code.field
+    H = code.parity_check_matrix() if k < n else np.zeros((0, n), dtype=np.int64)
+    cols = H.T.tolist()
+    if F.base is None:
+        p = F.q
+
+        def axpy(w, c, u):  # w - c * u
+            return [(a - c * b) % p for a, b in zip(w, u)]
+    else:
+        add_t, mul_t = _field_tables(F)
+        add_rows = add_t.tolist()
+        neg = [row.index(0) for row in add_rows]
+        negmul_rows = [[neg[v] for v in row] for row in mul_t.tolist()]
+
+        def axpy(w, c, u):
+            nm = negmul_rows[c]
+            return [add_rows[a][nm[b]] for a, b in zip(w, u)]
+
+    count = 0
+
+    def reduce_by(u, cand, start, j, cost):
+        """Reduce the candidates cand[start:] still affordable after adding
+        position j (column u, reduced against the prefix) to the prefix of
+        cost ``cost``; returns them reduced against the longer prefix."""
+        nonlocal count
+        piv = next(i for i, a in enumerate(u) if a)
+        inv = F.inv(u[piv])
+        out = []
+        for j2, w in itertools.islice(cand, start, None):
+            cost2 = cost + (2 if for_pair and j2 != j + 1 else 1)
+            if cost2 > level:
+                break
+            count += 1
+            a = w[piv]
+            if a:
+                w = axpy(w, F.mul(a, inv), u)
+                if not any(w):
+                    assert cost2 == level, "lower levels were scanned completely"
+                    raise _Dependent
+            out.append((j2, w))
+        return out
+
+    def visit(last, cost, cand):
+        for idx, (j, u) in enumerate(cand):
+            cost_j = cost + (2 if for_pair and j != last + 1 else 1)
+            if cost_j >= level:
+                break
+            visit(j, cost_j, reduce_by(u, cand, idx + 1, j, cost_j))
+
+    what = "dependency pair search" if for_pair else "dependency Hamming search"
+    root_cost = 2 if for_pair else 1
+    rest = [(j, cols[j]) for j in range(1, n - 1)]
+    for level, worst in _dependency_levels(n, k, for_pair):
+        _require_budget(count, worst, budget, level, None, what, "column reductions")
+        try:
+            count += 1
+            if not any(cols[0]):
+                raise _Dependent
+            if root_cost < level:
+                visit(0, root_cost, reduce_by(cols[0], rest, 0, 0, root_cost))
+        except _Dependent:
+            return DistanceResult(level, "dependency", True, count)
+    # no proper support is dependent: every nonzero codeword has support Z_n
+    return DistanceResult(n, "dependency", True, count)
 
 
 def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) -> str:
@@ -553,14 +716,25 @@ def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) 
                 f"castagnoli strategy needs a repeated-root cyclic code "
                 f"(lambda = 1, n = l * p^e with e >= 1 and l > 1), got {code!r}")
         return "castagnoli"
+    if strategy == "dependency":
+        return "dependency"
     if strategy == "auto":
         if not for_pair and code.repeated_root_split is not None:
             return "castagnoli"
-        if code.field.q ** code.k - 1 <= _AUTO_EXHAUSTIVE_LIMIT:
-            return "exhaustive"
-        return "bounded_weight"
+        q, n, k = code.field.q, code.n, code.k
+        message = q ** k - 1
+        side = "exhaustive"
+        if message > _AUTO_EXHAUSTIVE_LIMIT:
+            message = sum(_level_size(q, k, t) for t in range(1, max(1, min(k, n - k)) + 1))
+            side = "bounded_weight"
+        # g is a codeword, so the search ends by the level of its own weight
+        word = code.g.coeffs + (0,) * (n - len(code.g.coeffs))
+        top = pair_weight(word) if for_pair else hamming_weight(word)
+        parity = sum(worst for cost, worst in _dependency_levels(n, k, for_pair) if cost <= top)
+        return "dependency" if parity < message else side
     raise BadParameterError(
-        f"unknown strategy {strategy!r}; expected auto, exhaustive, bounded or castagnoli")
+        f"unknown strategy {strategy!r}; "
+        f"expected auto, exhaustive, bounded, dependency or castagnoli")
 
 
 def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,
@@ -570,8 +744,8 @@ def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,
 
     With ``max_weight=w`` the bounded scan stops after message-weight level
     w; if no codeword of weight <= w + 1 was pinned down the result carries
-    ``is_lower_bound=True`` with value w + 1.  The castagnoli strategy
-    ignores ``max_weight`` but spends ``budget`` on its residue codes.
+    ``is_lower_bound=True`` with value w + 1.  The other strategies ignore
+    ``max_weight``; castagnoli spends ``budget`` on its residue codes.
     """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
@@ -581,12 +755,14 @@ def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,
         from . import bounds
         value, _terms, enumerated = bounds.castagnoli_details(code, budget=budget)
         return DistanceResult(value, "castagnoli", True, enumerated)
+    if resolved == "dependency":
+        return _dependency_search(code, False, budget)
 
     enum = _Enumerator(code)
 
     if resolved == "exhaustive":
         total = code.field.q ** code.k - 1
-        _require_budget(enum, total, budget, 1, None, "exhaustive Hamming scan")
+        _require_budget(enum.count, total, budget, 1, None, "exhaustive Hamming scan")
         best = enum.scan_all(_stat_min_weight)
         return DistanceResult(best, "exhaustive", True, enum.count)
 
@@ -597,7 +773,7 @@ def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,
     for t in range(1, limit + 1):
         if t >= best:
             return DistanceResult(best, "bounded_weight", True, enum.count)
-        _require_budget(enum, enum.level_size(t), budget,
+        _require_budget(enum.count, enum.level_size(t), budget,
                         min(best, t), best if best <= code.n else None,
                         "bounded-weight Hamming scan")
         best = min(best, enum.scan_level(t, _stat_min_weight))
@@ -623,11 +799,13 @@ def min_pair_distance(code: ConstacyclicCode, strategy: str = "auto", *,
     if code.n < 2:
         raise LengthTooShortError("pair distance needs n >= 2")
     resolved = _resolve_strategy(code, strategy, for_pair=True)
+    if resolved == "dependency":
+        return _dependency_search(code, True, budget)
     enum = _Enumerator(code)
 
     if resolved == "exhaustive":
         total = code.field.q ** code.k - 1
-        _require_budget(enum, total, budget, 2, None, "exhaustive pair scan")
+        _require_budget(enum.count, total, budget, 2, None, "exhaustive pair scan")
         best = enum.scan_all(lambda nz: _stat_min_pair_weight(nz, code.n))
         return DistanceResult(best, "exhaustive", True, enum.count)
 
@@ -635,7 +813,7 @@ def min_pair_distance(code: ConstacyclicCode, strategy: str = "auto", *,
     for t in range(1, code.k + 1):
         if t + 1 >= m:
             break
-        _require_budget(enum, enum.level_size(t), budget,
+        _require_budget(enum.count, enum.level_size(t), budget,
                         min(m, t + 1), m if m <= code.n else None,
                         "bounded-weight pair scan")
         prune = min(m, code.n + 2) - 2

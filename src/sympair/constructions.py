@@ -229,8 +229,9 @@ def search_optimal_cyclic(q: int, n: int, max_codes: int | None = None,
     Generators are enumerated through the multiplicity lattice of the
     factorization of x^n - 1, in lexicographic order over the factor list
     (factors sorted by degree, then coefficients), skipping k in {0, n}.
-    ``budget`` caps total encodings across the whole search; running out
-    raises BudgetExceededError with the finished entries attached.
+    ``budget`` caps total work (encodings and column reductions) across
+    the whole search; running out raises BudgetExceededError with the
+    finished entries attached.
     """
     if max_codes is not None and max_codes < 1:
         raise BadParameterError(f"max_codes must be positive when given, got {max_codes!r}")

@@ -81,12 +81,12 @@ class BadParameterError(SymPairError, ValueError):
 
 
 class BudgetExceededError(SymPairError, RuntimeError):
-    """An enumeration would exceed (or has exceeded) the encoding budget.
+    """A distance engine would exceed (or has exceeded) its work budget.
 
     Carries the best information proven before stopping: ``lower_bound`` is a
     sound lower bound on the queried distance, ``upper_bound`` the smallest
-    witness weight seen (``None`` if none), and ``enumerated`` the number of
-    encodings actually performed.  Multi-code scans attach the entries they
+    witness weight seen (``None`` if none), and ``enumerated`` the work
+    actually performed (encodings and column reductions).  Multi-code scans attach the entries they
     finished as ``partial``.
     """
 

@@ -7,9 +7,10 @@ if the frozen table is edited.  Results are cached per session: criteria
 that aggregate earlier sweeps reuse them instead of re-enumerating.
 
 Criteria 3, 4 and 5 carry the ``full`` marker because they certify pair
-distances by enumerating ~10^8 to ~2x10^9 encodings (roughly one to two
-minutes each on one core).  They are marked for bookkeeping, not skipped:
-a plain ``pytest`` run executes every criterion.
+distances that message-side enumeration needs ~10^8 to ~2x10^9 encodings
+for; ``auto`` certifies them on the parity side with about a thousand
+column reductions each, in milliseconds.  They are marked for
+bookkeeping, not skipped: a plain ``pytest`` run executes every criterion.
 """
 
 import pytest
@@ -104,6 +105,11 @@ def test_criterion_07_family_n_6_certified():
     assert bound_only.computed["hartmann_tzeng"] == 4
     assert bound_only.computed["d_hamming"] is None
     assert bound_only.computed["d_pair"] is None
+    certified = _run("family-n6-q7-n48-full")
+    assert certified.computed["n"] == 48 and certified.computed["k"] == 44
+    assert certified.computed["d_hamming"] == 4
+    assert certified.computed["d_pair"] == 6
+    assert certified.computed["is_mds_pair"] is True
 
 
 def test_criterion_08_castagnoli_oracle_equivalence():

@@ -86,6 +86,25 @@ def test_analyze_strategy_flag(tmp_path, capsys):
     assert payload["d_pair"]["value"] == 23
 
 
+def test_dependency_strategy_flag(tmp_path, capsys):
+    spec = _write_spec(tmp_path, SPEC_15_11)
+    for argv in (["analyze", spec], ["construct", "mds_3p_6", "--p", "5"]):
+        rc, out = _run(capsys, argv + ["--json", "--strategy", "dependency"])
+        assert rc == 0
+        payload = json.loads(out)
+        payload = payload.get("report", payload)
+        assert payload["d_hamming"]["method"] == "dependency"
+        assert payload["d_pair"]["method"] == "dependency"
+        assert (payload["d_hamming"]["value"], payload["d_pair"]["value"]) == (3, 6)
+    # castagnoli needs a repeated-root code; an unknown strategy is a usage error
+    rc, _ = _run(capsys, ["analyze", _write_spec(tmp_path, SPEC_24_3, "c24.json"),
+                          "--strategy", "castagnoli"])
+    assert rc == cli.EXIT_INPUT == 2
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["analyze", spec, "--strategy", "parity"])
+    assert exc_info.value.code == 2
+
+
 def test_construct_round_trip_matches_analyze(tmp_path, capsys):
     out_spec = tmp_path / "family.json"
     rc, out = _run(capsys, ["construct", "mds_3p_6", "--p", "5", "--json",
@@ -184,7 +203,7 @@ def test_search_human_table(capsys):
 
 def test_search_budget_truncates_with_exit_3(capsys):
     rc, out = _run(capsys, ["search", "--q", "3", "--n", "8", "--json",
-                            "--budget", "5000"])
+                            "--budget", "500"])
     assert rc == 3
     payload = json.loads(out)
     assert payload["truncated"] is True

@@ -1,5 +1,6 @@
 """Constacyclic codes, the symbol-pair metric, and the distance engines."""
 
+import itertools
 import math
 import random
 
@@ -351,3 +352,157 @@ def test_is_simple_root_and_is_cyclic_flags():
     neg = ConstacyclicCode.from_generator(F5, 8, 2, neg_g)
     assert not neg.is_cyclic
     assert neg.defining_set() is None
+
+
+# ----------------------------------------------------------------------
+# parity-side dependency search
+
+F4 = gf.extension_field(2, 2)
+F8 = gf.extension_field(2, 3)
+F9 = gf.extension_field(3, 2)
+
+#: field -> lengths of the differential corpus (every lambda, every divisor)
+DIFFERENTIAL_LENGTHS = {
+    F2: range(2, 13), F3: range(2, 10), F4: range(2, 8), F5: range(2, 8),
+    F7: range(2, 7), F8: range(2, 6), F9: range(2, 6),
+}
+
+
+def _divisor_codes(field, n, lam):
+    """Every nonzero code generated by a monic divisor of x^n - lam, k = n included."""
+    fac = poly.factor(poly.binomial(field, n, lam))
+    for exps in itertools.product(*(range(m + 1) for _f, m in fac)):
+        g = Poly.one(field)
+        for e, (f, _m) in zip(exps, fac):
+            g = g * f**e
+        if g.degree < n:
+            yield ConstacyclicCode.from_generator(field, n, lam, g)
+
+
+def _support_levels(n, k, for_pair):
+    """Brute-force reference for the dependency search's worst case per level:
+    supports S of 0..n-2 with 0 in S and |S| <= n - k + 1, counted by cost."""
+    r = n - k
+    costs = []
+    for mask in range(1 << (n - 1)):
+        S = [i for i in range(n - 1) if mask >> i & 1]
+        if not S or S[0] != 0 or len(S) > r + 1:
+            continue
+        runs = sum(1 for i in S if i - 1 not in S)
+        costs.append(len(S) + runs if for_pair else len(S))
+    first = 2 if for_pair else 1
+    last = (r + 2 if for_pair else r + 1) if k >= 2 else (n if for_pair else n - 1)
+    levels = [(D, sum(1 for c in costs if c <= D)) for D in range(first, last + 1)]
+    if k >= 2:
+        levels[-1] = (last, min(levels[-1][1], 1 + r * (n - 2)))
+    return levels
+
+
+def test_dependency_matches_enumeration_on_constacyclic_corpus():
+    codes = 0
+    for field, lengths in DIFFERENTIAL_LENGTHS.items():
+        for n in lengths:
+            for lam in range(1, field.q):
+                for c in _divisor_codes(field, n, lam):
+                    reference = "exhaustive" if field.q**c.k <= 1 << 16 else "bounded"
+                    dh = code.min_hamming_distance(c, "dependency")
+                    dp = code.min_pair_distance(c, "dependency")
+                    assert (dh.method, dp.method) == ("dependency", "dependency")
+                    assert dh.certified and dp.certified
+                    for r, for_pair in ((dh, False), (dp, True)):
+                        worst = sum(w for _D, w in _support_levels(n, c.k, for_pair))
+                        assert r.enumeration_count <= worst
+                    assert dh.value == code.min_hamming_distance(c, reference).value, c
+                    assert dp.value == code.min_pair_distance(c, reference).value, c
+                    assert code.min_pair_distance(c).value == dp.value
+                    codes += 1
+    assert codes == 770
+
+
+def test_dependency_level_sizes_match_brute_force():
+    for n in range(2, 12):
+        for k in range(1, n + 1):
+            for for_pair in (False, True):
+                assert list(code._dependency_levels(n, k, for_pair)) == _support_levels(n, k, for_pair)
+
+
+def test_dependency_budget_stops_at_first_unfinished_level():
+    c = constructions.mds_3p_6(5, "bounds").code
+    for distance, first in ((code.min_pair_distance, 2), (code.min_hamming_distance, 1)):
+        full = distance(c, "dependency")
+        levels = _support_levels(c.n, c.k, distance is code.min_pair_distance)
+        assert levels[0][0] == first
+        done = 0  # column reductions spent on the levels finished so far
+        for level, worst in levels:
+            with pytest.raises(errors.BudgetExceededError) as exc_info:
+                distance(c, "dependency", budget=done + worst - 1)
+            assert exc_info.value.lower_bound == level
+            assert exc_info.value.enumerated == done
+            try:
+                result = distance(c, "dependency", budget=done + worst)
+            except errors.BudgetExceededError as exc:
+                assert exc.lower_bound == level + 1
+                assert done < exc.enumerated <= done + worst
+                done = exc.enumerated
+            else:
+                assert result == full
+                assert level == full.value
+                break
+        else:
+            pytest.fail("the search never finished")
+
+
+def test_dependency_counts_are_deterministic():
+    for build in (lambda: constructions.mds_3p_8(7, "bounds").code,
+                  lambda: constructions.mds_n_6(9, 16, "bounds").code):
+        first, second = build(), build()
+        for distance in (code.min_hamming_distance, code.min_pair_distance):
+            a = distance(first, "dependency")
+            b = distance(second, "dependency")
+            assert a == b
+            assert a.enumeration_count > 0
+
+
+def test_dependency_full_support_only_codes():
+    # k = 1 codes whose only nonzero supports are Z_n: every level is scanned
+    # to the end, so the count is the whole worst case, and the answer is n
+    cases = [(F3, 5, 1), (F5, 6, 1), (F5, 3, 2), (F4, 5, 1), (F9, 4, 1)]
+    for field, n, lam in cases:
+        full = [c for c in _divisor_codes(field, n, lam) if c.k == 1
+                and code.min_hamming_distance(c, "exhaustive").value == n]
+        assert full, (field, n, lam)
+        for c in full:
+            for distance, for_pair in ((code.min_hamming_distance, False),
+                                       (code.min_pair_distance, True)):
+                r = distance(c, "dependency")
+                assert r.value == n
+                assert r.enumeration_count == sum(w for _D, w in _support_levels(n, 1, for_pair))
+
+
+def test_auto_picks_the_side_with_the_smaller_worst_case():
+    assert code.min_pair_distance(_example_24_3()).method == "exhaustive"
+    assert code.min_hamming_distance(_example_24_3()).method == "exhaustive"
+    assert code.min_pair_distance(_example_15_11()).method == "dependency"
+    assert code.min_hamming_distance(_example_15_11()).method == "castagnoli"
+    low_rate = ConstacyclicCode.from_generator(
+        F7, 24, 3, Poly(F7, [6, 0, 0, 5, 0, 0, 1, 0, 0, 5, 0, 0, 5, 0, 0, 6, 0, 0, 1]))
+    assert code.min_pair_distance(low_rate).method == "bounded_weight"
+    # the Singleton ceiling alone would keep the message side here; the pair
+    # weight 10 of g itself caps the parity side's levels
+    capped = ConstacyclicCode.from_generator(
+        F5, 24, 2, Poly(F5, [4, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 1]))
+    assert code.min_pair_distance(capped).method == "dependency"
+    n6 = constructions.mds_n_6(7, 48, "bounds").code
+    assert code.min_hamming_distance(n6).method == "dependency"
+
+
+def test_field_tables_match_field_arithmetic():
+    tower = gf.tower_field(F4, 2)
+    for field in (F4, F8, F9, gf.extension_field(5, 2), tower):
+        add, mul = code._field_tables(field)
+        assert not add.flags.writeable and not mul.flags.writeable
+        for a in range(field.q):
+            for b in range(field.q):
+                assert add[a, b] == field.add(a, b)
+                assert mul[a, b] == field.mul(a, b)
+    assert code._field_tables(F9) is code._field_tables(gf.extension_field(3, 2))

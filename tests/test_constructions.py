@@ -182,11 +182,11 @@ def test_search_respects_max_codes_and_budget():
     capped = constructions.search_optimal_cyclic(3, 8, max_codes=4)
     assert len(capped) == 4
     with pytest.raises(errors.BudgetExceededError) as exc_info:
-        constructions.search_optimal_cyclic(3, 8, budget=5000)
+        constructions.search_optimal_cyclic(3, 8, budget=500)
     err = exc_info.value
     assert 0 < len(err.partial) < 30
     assert all(entry.d_pair.certified for entry in err.partial)
-    assert err.enumerated <= 5000
+    assert err.enumerated <= 500
 
 
 def test_search_covers_repeated_root_lengths():

@@ -176,6 +176,24 @@ def test_analyze_budget_spent_on_hamming_side():
     assert partial["d_pair"] is None
 
 
+def test_analyze_budget_covers_the_bound_reports_product_formula():
+    # exhaustive scans leave the product formula to the bound report: 2 * 3124
+    # encodings for the distances, 24 more for the residue codes
+    x, one = Poly.x(F5), Poly.one(F5)
+    g = (x - one) ** 4 * (x**2 + x + one) ** 3
+    for c in (ConstacyclicCode.from_generator(F5, 15, 1, g),) * 2:  # fresh, then cached
+        with pytest.raises(errors.BudgetExceededError) as exc_info:
+            report.analyze(c, "exhaustive", budget=6248)
+        partial = exc_info.value.partial
+        assert partial["budget_exhausted"] == "bounds"
+        assert partial["d_hamming"]["value"] == 5 and partial["d_pair"] is not None
+        assert exc_info.value.enumerated <= 6248
+        for budget in (None, 6272):
+            rep = report.analyze(c, "exhaustive", budget=budget)
+            assert rep.perf["encodings"] == 6272
+            assert rep.bounds.castagnoli_d_hamming == rep.d_hamming.value
+
+
 def test_analyze_rejects_zero_code():
     zero = ConstacyclicCode.from_generator(F5, 15, 1, poly.binomial(F5, 15, 1))
     with pytest.raises(errors.ZeroCodeError):
