@@ -110,12 +110,11 @@ class RepeatedRootShape:
         return self.ell * self.p ** self.e
 
 
-def repeated_root_shape(code: ConstacyclicCode, seed: int = 0) -> RepeatedRootShape:
+def repeated_root_shape(code: ConstacyclicCode) -> RepeatedRootShape:
     """Factor-multiplicity shape of a repeated-root cyclic code.
 
     Raises NotRepeatedRootError unless the code is cyclic with n = l * p^e,
-    e >= 1 and l > 1.  Computed once per code object: ``poly.factor`` sorts
-    its output, so the shape does not depend on ``seed``.
+    e >= 1 and l > 1.  Computed once per code object.
     """
     if code._shape is not None:
         return code._shape
@@ -130,7 +129,7 @@ def repeated_root_shape(code: ConstacyclicCode, seed: int = 0) -> RepeatedRootSh
         raise NotRepeatedRootError(
             f"n = {code.n} is a pure power of the characteristic; need l > 1 in n = l * p^e")
     ell, e = split
-    base_factors = poly.factor(poly.binomial(code.field, ell, 1), seed=seed)
+    base_factors = poly.factor(poly.binomial(code.field, ell, 1))
     assert base_factors.unit == 1
     factors = tuple((f, poly.multiplicity(code.g, f)) for f, mult in base_factors)
     # sanity: g is exactly the product of these factor powers
@@ -182,8 +181,7 @@ class CastagnoliTerm:
     contribution: int | float
 
 
-def castagnoli_details(code: ConstacyclicCode, seed: int = 0, *,
-                       budget: int | None = None):
+def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
     """(distance, per-t terms, enumeration count) of the product formula.
 
     The distance is min over 0 <= t < p^e of P_t * d_H(residue_t); zero
@@ -196,7 +194,7 @@ def castagnoli_details(code: ConstacyclicCode, seed: int = 0, *,
         raise ZeroCodeError("the zero code has no minimum distance")
     if code._castagnoli is not None and (budget is None or code._castagnoli[2] <= budget):
         return code._castagnoli
-    shape = repeated_root_shape(code, seed=seed)
+    shape = repeated_root_shape(code)
     cache: dict[poly.Poly, int | float] = {}
     terms = []
     enumerated = 0
@@ -231,9 +229,9 @@ def castagnoli_details(code: ConstacyclicCode, seed: int = 0, *,
     return code._castagnoli
 
 
-def castagnoli_distance(code: ConstacyclicCode, seed: int = 0) -> int:
+def castagnoli_distance(code: ConstacyclicCode) -> int:
     """Exact minimum Hamming distance of a repeated-root cyclic code."""
-    return castagnoli_details(code, seed=seed)[0]
+    return castagnoli_details(code)[0]
 
 
 @dataclass(frozen=True)
@@ -249,11 +247,10 @@ class RepeatedRootPairFloor:
                 "lower_bound": self.lower_bound}
 
 
-def repeated_root_pair_floor(code: ConstacyclicCode, d_hamming: int,
-                             seed: int = 0) -> RepeatedRootPairFloor:
+def repeated_root_pair_floor(code: ConstacyclicCode, d_hamming: int) -> RepeatedRootPairFloor:
     """Check the repeated-root pair floor; inapplicable rather than guessed
     when d_H is not prime or neither condition window holds."""
-    shape = repeated_root_shape(code, seed=seed)
+    shape = repeated_root_shape(code)
     n, k = code.n, code.k
     if not gf.is_prime(d_hamming):
         return RepeatedRootPairFloor(False, None, None)
@@ -361,8 +358,7 @@ class BoundReport:
         }
 
 
-def bound_report(code: ConstacyclicCode, d_hamming: int | None = None,
-                 seed: int = 0) -> BoundReport:
+def bound_report(code: ConstacyclicCode, d_hamming: int | None = None) -> BoundReport:
     """Aggregate all applicable bounds for a code (k >= 1)."""
     if code.k == 0:
         raise ZeroCodeError("bounds are reported for nonzero codes only")
@@ -371,8 +367,8 @@ def bound_report(code: ConstacyclicCode, d_hamming: int | None = None,
     else:
         floor = PairDistanceFloor(False, None, False)
     if code.repeated_root_split is not None:
-        castagnoli = castagnoli_distance(code, seed=seed)
-        rr_floor = (repeated_root_pair_floor(code, d_hamming, seed=seed)
+        castagnoli = castagnoli_distance(code)
+        rr_floor = (repeated_root_pair_floor(code, d_hamming)
                     if d_hamming is not None
                     else RepeatedRootPairFloor(False, None, None))
     else:

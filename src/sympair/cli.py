@@ -50,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="distance certification strategy (default: auto)")
         p.add_argument("--budget", type=int, default=None, metavar="N",
                        help="abort after N encodings and column reductions (exit code 3)")
-        p.add_argument("--seed", type=int, default=0, metavar="N",
-                       help="seed for randomized factoring (default: 0)")
         p.add_argument("--out", type=Path, default=None, metavar="PATH",
                        help="also write the JSON report to PATH")
         p.add_argument("--json", action="store_true",
@@ -125,7 +123,7 @@ def _human_report(report: AnalysisReport) -> str:
 def _cmd_analyze(args) -> int:
     code = load_code_spec(args.spec)
     try:
-        report = analyze(code, args.strategy, budget=args.budget, seed=args.seed)
+        report = analyze(code, args.strategy, budget=args.budget)
     except BudgetExceededError as exc:
         _emit(exc.partial, args, f"budget exhausted: {exc}")
         return EXIT_BUDGET
@@ -149,7 +147,7 @@ def _cmd_construct(args) -> int:
     if args.out is not None:
         save_code_spec(code, args.out)  # spec file, directly consumable by analyze
     try:
-        report = analyze(code, args.strategy, budget=args.budget, seed=args.seed)
+        report = analyze(code, args.strategy, budget=args.budget)
     except BudgetExceededError as exc:
         print(json.dumps(exc.partial, indent=2) if args.json
               else f"budget exhausted: {exc}")
@@ -179,10 +177,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
 
 
-def _search_payload(entries, q: int, n: int, seed: int, truncated: bool) -> dict:
+def _search_payload(entries, q: int, n: int, truncated: bool) -> dict:
     rows = sorted(entries, key=lambda e: (-e.d_pair.value, -e.code.k))
     return {
-        "version": __version__, "seed": seed, "q": q, "n": n,
+        "version": __version__, "q": q, "n": n,
         "truncated": truncated,
         "entries": [{
             "generator": list(e.code.g.coeffs),
@@ -207,12 +205,12 @@ def _human_search(payload: dict) -> str:
 def _cmd_search(args) -> int:
     try:
         entries = search_optimal_cyclic(args.q, args.n, max_codes=args.max_codes,
-                                        budget=args.budget, seed=args.seed)
+                                        budget=args.budget)
     except BudgetExceededError as exc:
-        payload = _search_payload(exc.partial, args.q, args.n, args.seed, truncated=True)
+        payload = _search_payload(exc.partial, args.q, args.n, truncated=True)
         _emit(payload, args, _human_search(payload) + f"\nbudget exhausted: {exc}")
         return EXIT_BUDGET
-    payload = _search_payload(entries, args.q, args.n, args.seed, truncated=False)
+    payload = _search_payload(entries, args.q, args.n, truncated=False)
     _emit(payload, args, _human_search(payload))
     return EXIT_OK
 

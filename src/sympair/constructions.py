@@ -222,7 +222,7 @@ class SearchEntry:
 
 
 def search_optimal_cyclic(q: int, n: int, max_codes: int | None = None,
-                          budget: int | None = None, *, seed: int = 0) -> list[SearchEntry]:
+                          budget: int | None = None) -> list[SearchEntry]:
     """Certified (d_H, d_p) for every nontrivial cyclic code of length n over
     GF(q), flagging codes that meet the pair-Singleton bound with equality.
 
@@ -236,7 +236,7 @@ def search_optimal_cyclic(q: int, n: int, max_codes: int | None = None,
     if max_codes is not None and max_codes < 1:
         raise BadParameterError(f"max_codes must be positive when given, got {max_codes!r}")
     field = _field_of_order(q)
-    factors = poly.factor(poly.binomial(field, n, 1), seed=seed)
+    factors = poly.factor(poly.binomial(field, n, 1))
     entries: list[SearchEntry] = []
     spent = 0
 

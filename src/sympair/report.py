@@ -12,8 +12,8 @@ multiplication by q modulo n.
 
 ``analyze`` bundles everything the toolkit knows about one code into an
 ``AnalysisReport``.  Reports serialize to JSON with a stable key order, and
-everything outside the "perf" key is deterministic for fixed inputs, seed,
-and toolkit version — byte-identical across runs.
+everything outside the "perf" key is deterministic for fixed inputs and
+toolkit version — byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import gf, poly
 from ._version import __version__
-from .bounds import BoundReport, bound_report, castagnoli_details
+from .bounds import BoundReport, bound_report
 from .code import ConstacyclicCode, DistanceResult, min_hamming_distance, min_pair_distance
 from .errors import BadParameterError, BudgetExceededError
 
@@ -114,13 +114,11 @@ class AnalysisReport:
     mds_hamming: bool
     mds_pair: bool
     version: str
-    seed: int
     perf: dict
 
     def to_dict(self, include_perf: bool = True) -> dict:
         out = {
             "version": self.version,
-            "seed": self.seed,
             "code": _identity_dict(self.code),
             "d_hamming": self.d_hamming.to_dict(),
             "d_pair": self.d_pair.to_dict(),
@@ -156,16 +154,14 @@ def _identity_dict(code: ConstacyclicCode) -> dict:
     }
 
 
-def _partial_report(exc: BudgetExceededError, code: ConstacyclicCode, seed: int,
-                    stage: str, d_hamming: DistanceResult | None,
-                    d_pair: DistanceResult | None = None) -> dict:
+def _partial_report(exc: BudgetExceededError, code: ConstacyclicCode, stage: str,
+                    found: dict[str, DistanceResult]) -> dict:
     partial = {
         "version": __version__,
-        "seed": seed,
         "code": _identity_dict(code),
         "budget_exhausted": stage,
-        "d_hamming": d_hamming.to_dict() if d_hamming is not None else None,
-        "d_pair": d_pair.to_dict() if d_pair is not None else None,
+        "d_hamming": found["d_hamming"].to_dict() if "d_hamming" in found else None,
+        "d_pair": found["d_pair"].to_dict() if "d_pair" in found else None,
     }
     partial[stage] = {
         "value": exc.lower_bound,
@@ -178,7 +174,7 @@ def _partial_report(exc: BudgetExceededError, code: ConstacyclicCode, seed: int,
 
 
 def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
-            budget: int | None = None, seed: int = 0) -> AnalysisReport:
+            budget: int | None = None) -> AnalysisReport:
     """Certify both distances, attach every applicable bound, set MDS flags.
 
     ``strategy`` follows min_hamming_distance; "castagnoli" applies to the
@@ -191,46 +187,36 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
     "bounds".
     """
     t0 = time.perf_counter()
-    pair_strategy = "auto" if strategy == "castagnoli" else strategy
-    try:
-        d_h = min_hamming_distance(code, strategy, budget=budget)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            str(exc), lower_bound=exc.lower_bound, upper_bound=exc.upper_bound,
-            enumerated=exc.enumerated,
-            partial=_partial_report(exc, code, seed, "d_hamming", None)) from exc
-    remaining = None if budget is None else budget - d_h.enumeration_count
-    try:
-        d_p = min_pair_distance(code, pair_strategy, budget=remaining)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            str(exc), lower_bound=exc.lower_bound, upper_bound=exc.upper_bound,
-            enumerated=d_h.enumeration_count + exc.enumerated,
-            partial=_partial_report(exc, code, seed, "d_pair", d_h)) from exc
-    spent = d_h.enumeration_count + d_p.enumeration_count
-    if code.repeated_root_split is not None and d_h.method != "castagnoli":
-        # the bound report quotes the product formula: run it within budget
-        remaining = None if budget is None else budget - spent
+    found: dict[str, DistanceResult] = {}
+
+    def stages():  # lazy: whether "bounds" runs depends on the Hamming result
+        yield "d_hamming", min_hamming_distance, strategy
+        yield "d_pair", min_pair_distance, "auto" if strategy == "castagnoli" else strategy
+        if code.repeated_root_split is not None and found["d_hamming"].method != "castagnoli":
+            # the bound report quotes the product formula: run it within budget
+            yield "bounds", min_hamming_distance, "castagnoli"
+
+    spent = 0
+    for stage, engine, how in stages():
         try:
-            spent += castagnoli_details(code, seed=seed, budget=remaining)[2]
+            found[stage] = engine(code, how, budget=None if budget is None else budget - spent)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
                 str(exc), lower_bound=exc.lower_bound, upper_bound=exc.upper_bound,
                 enumerated=spent + exc.enumerated,
-                partial=_partial_report(exc, code, seed, "bounds", d_h, d_p)) from exc
-    bounds = bound_report(code, d_hamming=d_h.value if d_h.certified else None, seed=seed)
-    report = AnalysisReport(
+                partial=_partial_report(exc, code, stage, found)) from exc
+        spent += found[stage].enumeration_count
+    d_h, d_p = found["d_hamming"], found["d_pair"]
+    return AnalysisReport(
         code=code,
         d_hamming=d_h,
         d_pair=d_p,
-        bounds=bounds,
+        bounds=bound_report(code, d_hamming=d_h.value if d_h.certified else None),
         mds_hamming=d_h.certified and code.k == code.n - d_h.value + 1,
         mds_pair=d_p.certified and code.k == code.n - d_p.value + 2,
         version=__version__,
-        seed=seed,
         perf={
             "seconds": round(time.perf_counter() - t0, 6),
             "encodings": spent,
         },
     )
-    return report

@@ -215,9 +215,10 @@ def test_search_budget_truncates_with_exit_3(capsys):
     ["search", "--q", "3", "--n", "8"]])
 def test_jobs_option_is_gone(tmp_path, command):
     argv = [_write_spec(tmp_path, SPEC_15_11) if a == "SPEC" else a for a in command]
-    with pytest.raises(SystemExit) as exc_info:
-        cli.main(argv + ["--jobs", "2"])
-    assert exc_info.value.code == 2
+    for option in (["--jobs", "2"], ["--seed", "0"]):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv + option)
+        assert exc_info.value.code == 2
 
 
 def test_help_exits_cleanly():

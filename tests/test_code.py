@@ -187,15 +187,8 @@ def test_min_hamming_distance_reference_codes():
     c3 = _example_21_14()
     cast = code.min_hamming_distance(c3, "castagnoli")
     assert (cast.value, cast.method, cast.certified) == (5, "castagnoli", True)
-    found = code.min_hamming_distance(c3, "bounded", max_weight=5)
+    found = code.min_hamming_distance(c3, "bounded")
     assert (found.value, found.certified, found.is_lower_bound) == (5, True, False)
-
-
-def test_bounded_strategy_reports_lower_bound_witness():
-    r = code.min_hamming_distance(_example_24_3(), "bounded", max_weight=2)
-    assert r.is_lower_bound
-    assert r.value == 3  # proves d_H >= 3
-    assert r.upper_bound == 19  # best codeword seen during the scan
 
 
 def test_castagnoli_strategy_rejects_simple_root():
@@ -219,7 +212,8 @@ def test_min_pair_distance_reference_codes():
 
 def test_strategy_agreement_small_codes():
     # every nontrivial divisor code of x^n - lambda for a spread of shapes
-    cases = [(F2, 7, 1), (F3, 6, 1), (F3, 8, 1), (F5, 6, 1), (F5, 4, 4), (F5, 10, 1)]
+    cases = [(F2, 7, 1), (F3, 6, 1), (F3, 8, 1), (F5, 6, 1), (F5, 4, 4), (F5, 10, 1),
+             (F4, 5, 1), (F4, 6, 1), (F9, 4, 1), (F9, 5, 2)]
     checked = 0
     for field, n, lam in cases:
         fac = poly.factor(poly.binomial(field, n, lam))

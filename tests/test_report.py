@@ -95,7 +95,7 @@ def test_analyze_reference_code():
 def test_analyze_report_key_order_and_perf():
     rep = report.analyze(_example_15_11())
     full = rep.to_dict()
-    assert list(full) == ["version", "seed", "code", "d_hamming", "d_pair",
+    assert list(full) == ["version", "code", "d_hamming", "d_pair",
                           "bounds", "mds_hamming", "mds_pair", "perf"]
     stable = rep.to_dict(include_perf=False)
     assert "perf" not in stable
