@@ -18,6 +18,15 @@ Splitting fields needed to locate roots of x^n - 1 over a non-prime base
 field are built as towers GF(q)[y]/(h(y)) with the same ascending-scan
 modulus rule; their canonical integers coincide with the base-p flattening
 of the nested coordinates.
+
+So at every tower level a canonical integer is a base-p digit vector over
+GF(p): addition, negation and subtraction work digitwise mod p (XOR when
+p = 2).  Multiplication of an extension or tower field goes through exp/log
+tables of its primitive element ``gen``, the smallest candidate that passes
+the order test.  a -> a * gen is GF(p)-linear on the digits, so the tables
+cost m schoolbook products (the images of the basis elements p^i), one
+matmul mod p over all q digit vectors giving ``step[a] = a * gen``, and a
+walk of the orbit of 1 through ``step``.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ from __future__ import annotations
 import functools
 import math
 from typing import Iterator
+
+import numpy as np
 
 from .errors import (
     BadParameterError,
@@ -192,34 +203,29 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.base is None:
             return (a + b) % self.p
-        bq = self._sub_q
-        base = self.base
-        out = 0
-        mult = 1
-        while a or b:
-            out += base.add(a % bq, b % bq) * mult
-            a //= bq
-            b //= bq
-            mult *= bq
-        return out
+        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
         if self.base is None:
             return (-a) % self.p
-        bq = self._sub_q
-        base = self.base
-        out = 0
-        mult = 1
-        while a:
-            out += base.neg(a % bq) * mult
-            a //= bq
-            mult *= bq
-        return out
+        return a if self.p == 2 else self._digitwise(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
         if self.base is None:
             return (a - b) % self.p
-        return self.add(a, self.neg(b))
+        return a ^ b if self.p == 2 else self._digitwise(a, b, -1)
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b, digit by digit in base p (module docstring)."""
+        p = self.p
+        out = 0
+        place = 1
+        while a or b:
+            out += (a % p + sign * (b % p)) % p * place
+            a //= p
+            b //= p
+            place *= p
+        return out
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Table-free product: schoolbook over the base, reduced by the modulus."""
@@ -248,7 +254,11 @@ class Field:
         return self._unvec(prod[:r])
 
     def _ensure_tables(self) -> None:
-        """Build exp/log tables for extension fields (prime fields never need them)."""
+        """Build exp/log tables for extension fields (prime fields never need them).
+
+        The generator search uses table-free products; the tables themselves
+        come from one linear map over all elements (module docstring).
+        """
         if self._exp is not None or self.base is None:
             return
         qm1 = self.q - 1
@@ -268,13 +278,21 @@ class Field:
                 gen = cand
                 break
         assert gen is not None, "multiplicative group of a finite field is cyclic"
+        # a -> a * gen is GF(p)-linear on base-p digits: map every element
+        # at once through the images of the basis elements p^i
+        p, m = self.p, self.m
+        places = p ** np.arange(m, dtype=np.int64)
+        image = np.array([self.coords(self._mul_raw(p ** i, gen)) for i in range(m)],
+                         dtype=np.int64)
+        digits = np.arange(self.q, dtype=np.int64)[:, None] // places % p
+        step = ((digits @ image % p) @ places).tolist()
         exp = [0] * qm1
         log = [0] * self.q
         acc = 1
         for i in range(qm1):
             exp[i] = acc
             log[acc] = i
-            acc = self._mul_raw(acc, gen)
+            acc = step[acc]
         assert acc == 1, "generator order mismatch"
         self._exp, self._log, self._gen = exp, log, gen
 

@@ -225,3 +225,10 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["--help"])
     assert exc_info.value.code == 0
+
+
+def test_boolean_defining_set_exponent_is_input_error(tmp_path, capsys):
+    spec = _write_spec(tmp_path, {"p": 2, "m": 1, "n": 3, "defining_set": [True]})
+    rc = cli.main(["analyze", spec])
+    assert rc == cli.EXIT_INPUT == 2
+    assert "exponent True" in capsys.readouterr().err

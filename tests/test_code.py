@@ -74,6 +74,8 @@ def test_from_defining_set_validation():
         ConstacyclicCode.from_defining_set(F3, 8, {1})
     expanded = ConstacyclicCode.from_defining_set(F3, 8, {1}, expand=True)
     assert expanded.defining_set() == frozenset({1, 3})
+    with pytest.raises(errors.BadParameterError, match="True"):
+        ConstacyclicCode.from_defining_set(F2, 3, [True])
 
 
 def test_encode_basics():
@@ -267,6 +269,24 @@ def test_matrices_orthogonal_and_full_rank():
 
     c84 = ConstacyclicCode.from_defining_set(F3, 8, {0, 1, 3, 4})
     assert c84.parity_check_matrix().shape == (4, 8)
+
+
+def test_parity_check_matrix_is_built_once_and_read_only():
+    cases = [ConstacyclicCode.from_generator(F4, 5, 1, Poly(F4, [1, 2, 1])),
+             ConstacyclicCode.from_generator(
+                 F5, 24, 2, Poly(F5, [4, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 1]))]
+    for c in cases:
+        F = c.field
+        H = c.parity_check_matrix()
+        assert c.parity_check_matrix() is H
+        assert not H.flags.writeable
+        assert H.shape == (c.n - c.k, c.n)
+        for g_row in c.generator_matrix().tolist():
+            for h_row in H.tolist():
+                total = 0
+                for a, b in zip(g_row, h_row):
+                    total = F.add(total, F.mul(a, b))
+                assert total == 0
 
 
 def test_generator_matrix_rows_are_shifts_of_g():
@@ -498,5 +518,5 @@ def test_field_tables_match_field_arithmetic():
         for a in range(field.q):
             for b in range(field.q):
                 assert add[a, b] == field.add(a, b)
-                assert mul[a, b] == field.mul(a, b)
+                assert mul[a, b] == field._mul_raw(a, b)
     assert code._field_tables(F9) is code._field_tables(gf.extension_field(3, 2))

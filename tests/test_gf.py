@@ -104,6 +104,76 @@ def test_field_axioms_on_random_triples():
             assert field.sub(a, b) == field.add(a, field.neg(b))
 
 
+def _extension_fields(q_max):
+    fields = []
+    for p in range(2, q_max):
+        if gf.is_prime(p):
+            m = 2
+            while p ** m <= q_max:
+                fields.append(gf.extension_field(p, m))
+                m += 1
+    return fields
+
+
+def _towers():
+    return [gf.tower_field(gf.extension_field(2, 2), 2), gf.tower_field(gf.extension_field(2, 3), 2),
+            gf.tower_field(gf.extension_field(3, 2), 2), gf.tower_field(gf.extension_field(2, 2), 3)]
+
+
+def _nested_add(field, a, b):
+    """Reference sum: coordinates over the immediate base, added there, down
+    to the prime field."""
+    if field.base is None:
+        return (a + b) % field.p
+    bq = field.base.q
+    return sum(_nested_add(field.base, a // bq ** i % bq, b // bq ** i % bq) * bq ** i
+               for i in range(len(field.modulus) - 1))
+
+
+def _nested_neg(field, a):
+    if field.base is None:
+        return (-a) % field.p
+    bq = field.base.q
+    return sum(_nested_neg(field.base, a // bq ** i % bq) * bq ** i
+               for i in range(len(field.modulus) - 1))
+
+
+def test_exp_log_tables_match_schoolbook_walk():
+    fields = _extension_fields(4096) + _towers()
+    assert len(fields) > 40
+    for field in fields:
+        field._ensure_tables()
+        g = field._gen
+        acc = 1
+        for i in range(field.q - 1):
+            assert field._exp[i] == acc
+            assert field._log[acc] == i
+            acc = field._mul_raw(acc, g)
+        assert acc == 1
+        assert len(field._exp) == field.q - 1 and len(field._log) == field.q
+
+
+def test_table_arithmetic_matches_schoolbook_and_nested_digits():
+    # table products are symmetric in a and b, so unordered pairs cover all
+    for field in _extension_fields(256) + _towers():
+        for a in range(field.q):
+            for b in range(a + 1):
+                assert field.mul(a, b) == field._mul_raw(a, b)
+    for field in _extension_fields(64) + _towers():
+        for a in range(field.q):
+            assert field.neg(a) == _nested_neg(field, a)
+            for b in range(field.q):
+                assert field.add(a, b) == _nested_add(field, a, b)
+                assert field.sub(a, b) == _nested_add(field, a, _nested_neg(field, b))
+    rng = random.Random(23)
+    for field in (gf.extension_field(3, 5), gf.extension_field(5, 6), gf.extension_field(2, 12)):
+        for _ in range(2000):
+            a, b = rng.randrange(field.q), rng.randrange(field.q)
+            assert field.mul(a, b) == field._mul_raw(a, b)
+            assert field.add(a, b) == _nested_add(field, a, b)
+            assert field.sub(a, b) == _nested_add(field, a, _nested_neg(field, b))
+
+
 def test_every_nonzero_element_has_inverse():
     for field in (gf.prime_field(2), gf.prime_field(47), gf.extension_field(3, 2),
                   gf.extension_field(2, 5), gf.extension_field(7, 2)):
