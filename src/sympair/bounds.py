@@ -39,9 +39,6 @@ from .errors import (
 #: Distance of the zero residue code; absorbs multiplication, loses every min.
 INF = math.inf
 
-#: Residue codes at or below this many codewords are scanned exhaustively.
-_RESIDUE_EXHAUSTIVE_LIMIT = 1 << 20
-
 
 def singleton_pair_max(n: int, q: int, k: int) -> int:
     """Largest pair distance allowed by M <= q^(n - d_p + 2) for M = q^k.
@@ -186,9 +183,11 @@ def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
 
     The distance is min over 0 <= t < p^e of P_t * d_H(residue_t); zero
     residue codes contribute INF and cannot all occur for a nonzero code.
-    Residue distances are certified by exhaustive or bounded enumeration,
-    which together may spend at most ``budget`` encodings.  The result is
-    kept on the code object, so later calls within budget reuse it.
+    Residue codes are simple-root, so ``auto`` certifies each distance on
+    the cheaper of its message and parity sides; together they may spend
+    at most ``budget`` units of work (encodings and column reductions).
+    The result is kept on the code object, so later calls within budget
+    reuse it.
     """
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
@@ -206,12 +205,9 @@ def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
             elif res.k == res.n:
                 cache[res.g] = 1
             else:
-                strategy = ("exhaustive"
-                            if res.field.q ** res.k <= _RESIDUE_EXHAUSTIVE_LIMIT
-                            else "bounded_weight")
                 remaining = None if budget is None else budget - enumerated
                 try:
-                    result = min_hamming_distance(res, strategy, budget=remaining)
+                    result = min_hamming_distance(res, "auto", budget=remaining)
                 except BudgetExceededError as exc:
                     raise BudgetExceededError(
                         f"product formula, residue code t = {t}: {exc}",

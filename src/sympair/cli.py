@@ -2,7 +2,7 @@
 
     sympair analyze CODE.json [--strategy auto] [--budget N] [--out R.json]
     sympair construct mds_3p_6 --p 5 [--out CODE.json]
-    sympair verify [--tier fast|full] [--only NAME ...]
+    sympair verify [--only NAME ...]
     sympair search --q 5 --n 15 [--max-codes N] [--budget N]
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, strategy=True)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
-    p.add_argument("--tier", default="fast", choices=list(verify_mod.TIERS))
     p.add_argument("--only", action="append", default=None, metavar="NAME",
                    help="run only the named check (repeatable)")
     p.add_argument("--json", action="store_true")
@@ -92,7 +91,9 @@ def _emit(payload: dict, args, human: str) -> None:
 
 
 def _work(result) -> str:
-    unit = "column reductions" if result.method == "dependency" else "encodings"
+    unit = {"dependency": "column reductions",
+            "castagnoli": "encodings and column reductions on residue codes",
+            }.get(result.method, "encodings")
     return f"{result.method}, {result.enumeration_count} {unit}"
 
 
@@ -162,10 +163,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_checks(tier=args.tier, only=args.only)
+    results = verify_mod.run_checks(only=args.only)
     if args.json:
         print(json.dumps([{
-            "name": r.name, "tier": r.tier, "passed": r.passed,
+            "name": r.name, "passed": r.passed,
             "expected": r.expected, "computed": r.computed,
             "seconds": round(r.seconds, 3),
         } for r in results], indent=2))

@@ -216,8 +216,8 @@ class ConstacyclicCode:
             raise BadParameterError(f"generator must be monic, got {g}")
         if g.degree > n:
             raise NotDivisorError(f"deg g = {g.degree} exceeds the length {n}")
-        modulus = poly.binomial(field, n, lam)
-        if not (modulus % g).is_zero():
+        h, rem = divmod(poly.binomial(field, n, lam), g)
+        if not rem.is_zero():
             raise NotDivisorError(f"{g} does not divide x^{n} - {lam} over {field!r}")
         self.field = field
         self.n = n
@@ -225,7 +225,7 @@ class ConstacyclicCode:
         self.g = g
         self.k = n - g.degree
         self._defining_set = frozenset(defining_set) if defining_set is not None else None
-        self._check_poly: poly.Poly | None = None
+        self._check_poly = h
         self._std_form: np.ndarray | None = None
         self._parity_check: np.ndarray | None = None
         # filled by bounds.repeated_root_shape / bounds.castagnoli_details
@@ -308,8 +308,6 @@ class ConstacyclicCode:
 
     def check_polynomial(self) -> poly.Poly:
         """h = (x^n - lambda) / g."""
-        if self._check_poly is None:
-            self._check_poly = poly.binomial(self.field, self.n, self.lam) // self.g
         return self._check_poly
 
     def defining_set(self) -> frozenset[int] | None:
@@ -419,16 +417,6 @@ class ConstacyclicCode:
 # ----------------------------------------------------------------------
 # enumeration machinery
 
-def colex_combinations(n: int, t: int):
-    """t-subsets of range(n) in colexicographic order."""
-    if t == 0:
-        yield ()
-        return
-    for top in range(t - 1, n):
-        for rest in colex_combinations(top, t - 1):
-            yield rest + (top,)
-
-
 def _level_size(q: int, k: int, t: int) -> int:
     """Messages of Hamming weight t."""
     return math.comb(k, t) * (q - 1) ** t
@@ -520,7 +508,7 @@ class _Enumerator:
         else:
             B = 1
             slices = [(a, min(a + row_chunk, R)) for a in range(0, R, row_chunk)]
-        supports = colex_combinations(self.k, t)
+        supports = itertools.combinations(range(self.k), t)
         while True:
             chunk = list(itertools.islice(supports, B))
             if not chunk:

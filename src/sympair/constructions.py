@@ -32,8 +32,8 @@ from .code import (
 )
 from .errors import BadParameterError, BudgetExceededError
 
-#: Certification levels, cheapest first.
-CERTIFY_LEVELS = ("bounds", "hamming", "full")
+#: Certification levels: structure only, or both distances certified exactly.
+CERTIFY_LEVELS = ("bounds", "full")
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,10 @@ class FamilySpec:
 class ConstructionResult:
     """A constructed code with whatever certification was requested.
 
-    certify="bounds"  — structural checks plus whatever is free: the 3p
-                        families get d_H from the repeated-root product
-                        formula; mds_n_6 gets the Hartmann-Tzeng check only.
-    certify="hamming" — d_hamming certified exactly (default).
-    certify="full"    — d_pair certified exactly as well.
+    certify="bounds" — structural checks plus whatever is free: the 3p
+                       families get d_H from the repeated-root product
+                       formula; mds_n_6 gets the Hartmann-Tzeng check only.
+    certify="full"   — d_hamming and d_pair certified exactly (default).
     """
 
     code: ConstacyclicCode
@@ -103,20 +102,32 @@ def _require_odd_prime_at_least(p, minimum: int) -> None:
 
 def _certified(code: ConstacyclicCode, spec: FamilySpec, certify: str,
                budget: int | None) -> ConstructionResult:
-    """Run the requested enumeration and check it against the expectations."""
+    """Run the requested enumeration and check it against the expectations.
+
+    Both distances draw on one ``budget``; running out raises
+    BudgetExceededError whose ``enumerated`` counts the work of both.
+    """
     d_h = d_p = None
-    if certify in ("hamming", "full") or code.n % code.field.p == 0:
+    spent = 0
+    if certify == "full" or code.n % code.field.p == 0:
         # the repeated-root families certify d_H for free via the product
         # formula, so the "bounds" level gets it too
         d_h = min_hamming_distance(code, "auto", budget=budget)
         assert d_h.certified and d_h.value == spec.expected_d_hamming
+        spent = d_h.enumeration_count
     if certify == "full":
-        d_p = min_pair_distance(code, "auto", budget=budget)
+        try:
+            d_p = min_pair_distance(code, "auto",
+                                    budget=None if budget is None else budget - spent)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                str(exc), lower_bound=exc.lower_bound, upper_bound=exc.upper_bound,
+                enumerated=spent + exc.enumerated) from exc
         assert d_p.certified and d_p.value == spec.expected_d_pair
     return ConstructionResult(code=code, family=spec, d_hamming=d_h, d_pair=d_p)
 
 
-def mds_3p_7(p: int, certify: str = "hamming", *,
+def mds_3p_7(p: int, certify: str = "full", *,
              budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-5, 4] cyclic code over GF(p) with pair distance 7, p >= 5 prime."""
     _require_certify(certify)
@@ -130,7 +141,7 @@ def mds_3p_7(p: int, certify: str = "hamming", *,
     return _certified(code, spec, certify, budget)
 
 
-def mds_3p_8(p: int, certify: str = "hamming", *,
+def mds_3p_8(p: int, certify: str = "full", *,
              budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-6, 4] cyclic code over GF(p) with pair distance 8, p = 1 mod 3."""
     _require_certify(certify)
@@ -149,7 +160,7 @@ def mds_3p_8(p: int, certify: str = "hamming", *,
     return _certified(code, spec, certify, budget)
 
 
-def mds_3p_6(p: int, certify: str = "hamming", *,
+def mds_3p_6(p: int, certify: str = "full", *,
              budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-4, 3] cyclic code over GF(p) with pair distance 6, p >= 5 prime."""
     _require_certify(certify)
@@ -163,7 +174,7 @@ def mds_3p_6(p: int, certify: str = "hamming", *,
     return _certified(code, spec, certify, budget)
 
 
-def mds_n_6(q: int, n: int, certify: str = "hamming", *,
+def mds_n_6(q: int, n: int, certify: str = "full", *,
             budget: int | None = None) -> ConstructionResult:
     """[n, n-4, 4] cyclic code over GF(q) with pair distance 6, from the
     defining set C_0 u C_1 u C_{q+1} mod n, where n | q^2 - 1 and n >= q + 4."""

@@ -513,11 +513,11 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-def factor(f: Poly, seed: int = 0) -> Factorization:
+def factor(f: Poly) -> Factorization:
     """Complete factorization into monic irreducibles.
 
-    Deterministic for a fixed ``seed`` (equal-degree splitting draws from a
-    private PRNG); factors come out sorted by (degree, coefficient tuple),
+    Deterministic: equal-degree splitting draws from a private PRNG with a
+    fixed seed, and factors come out sorted by (degree, coefficient tuple),
     so the result is canonical regardless of splitting order.
     """
     if f.is_zero():
@@ -526,7 +526,7 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
     w = f.monic()
     if w.degree == 0:
         return Factorization(f.field, unit, ())
-    rng = random.Random(seed)
+    rng = random.Random(0)
     counts: dict[Poly, int] = {}
     for sq_part, e in _squarefree(w):
         for prod, d in _distinct_degree(sq_part):

@@ -2,11 +2,11 @@
 
 Each check rebuilds a reference code from scratch, recomputes every claimed
 quantity, and compares the result — exactly, no tolerances — against the
-frozen ``EXPECTED`` table.  The ``fast`` tier takes under 2 seconds on one
+frozen ``EXPECTED`` table.  The whole suite takes under 2 seconds on one
 core of a 2-core machine, most of it in the two corpus sweeps and the
-metric identities; ``full`` adds three certifications that message-side
-enumeration needs several hundred million encodings for, which the
-dependency search settles in milliseconds, so it takes about as long.
+metric identities; the three certifications that message-side enumeration
+would need several hundred million encodings for are settled by the
+dependency search in milliseconds.
 
 Check names describe the object under test, e.g. ``code-24-3-19-gf5`` is
 the [24, 3, 19] code over GF(5).
@@ -33,16 +33,14 @@ from .code import (
 from .constructions import mds_3p_6, mds_3p_7, mds_3p_8, mds_n_6
 from .errors import BadParameterError
 
-TIERS = ("fast", "full")
-
-#: name -> (tier, check function); insertion order is execution order
-_CHECKS: dict[str, tuple[str, object]] = {}
+#: name -> check function; insertion order is execution order
+_CHECKS: dict[str, object] = {}
 
 
-def _check(name: str, tier: str):
+def _check(name: str):
     def register(func):
-        assert name not in _CHECKS and tier in TIERS
-        _CHECKS[name] = (tier, func)
+        assert name not in _CHECKS
+        _CHECKS[name] = func
         return func
     return register
 
@@ -50,7 +48,6 @@ def _check(name: str, tier: str):
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    tier: str
     passed: bool
     expected: dict
     computed: dict
@@ -70,31 +67,20 @@ class CheckResult:
         return line
 
 
-def check_names(tier: str = "full") -> list[str]:
-    if tier not in TIERS:
-        raise BadParameterError(f"tier must be one of {TIERS}, got {tier!r}")
-    return [name for name, (t, _f) in _CHECKS.items() if tier == "full" or t == "fast"]
-
-
-def run_checks(tier: str = "fast", only=None) -> list[CheckResult]:
-    """Run the suite; ``only`` (iterable of names) overrides tier selection."""
-    if only is not None:
-        names = list(only)
-        unknown = [n for n in names if n not in _CHECKS]
-        if unknown:
-            raise BadParameterError(f"unknown check names: {unknown}; "
-                                    f"available: {list(_CHECKS)}")
-    else:
-        names = check_names(tier)
+def run_checks(only=None) -> list[CheckResult]:
+    """Run every check in order, or only the named ones (an iterable)."""
+    names = list(_CHECKS) if only is None else list(only)
+    unknown = [n for n in names if n not in _CHECKS]
+    if unknown:
+        raise BadParameterError(f"unknown check names: {unknown}; "
+                                f"available: {list(_CHECKS)}")
     results = []
     for name in names:
-        _tier, func = _CHECKS[name]
         t0 = time.perf_counter()
-        computed = func()
+        computed = _CHECKS[name]()
         seconds = time.perf_counter() - t0
         expected = EXPECTED[name]
-        results.append(CheckResult(name=name, tier=_tier,
-                                   passed=computed == expected,
+        results.append(CheckResult(name=name, passed=computed == expected,
                                    expected=expected, computed=computed,
                                    seconds=seconds))
     return results
@@ -103,7 +89,7 @@ def run_checks(tier: str = "fast", only=None) -> list[CheckResult]:
 # ----------------------------------------------------------------------
 # reference codes
 
-@_check("code-24-3-19-gf5", "fast")
+@_check("code-24-3-19-gf5")
 def _code_24_3_19() -> dict:
     field = gf.prime_field(5)
     exponents = sorted(set(range(24)) - {0, 19, 23})
@@ -124,7 +110,7 @@ def _code_24_3_19() -> dict:
     }
 
 
-@_check("code-15-11-3-gf5", "fast")
+@_check("code-15-11-3-gf5")
 def _code_15_11_3() -> dict:
     field = gf.prime_field(5)
     x = poly.Poly.x(field)
@@ -146,7 +132,7 @@ def _code_15_11_3() -> dict:
     }
 
 
-@_check("code-21-14-5-gf7", "full")
+@_check("code-21-14-5-gf7")
 def _code_21_14_5() -> dict:
     field = gf.prime_field(7)
     x = poly.Poly.x(field)
@@ -178,34 +164,34 @@ def _family_summary(result) -> dict:
     }
 
 
-@_check("family-3p7-p5", "fast")
+@_check("family-3p7-p5")
 def _family_3p7_p5() -> dict:
     return _family_summary(mds_3p_7(5, "full"))
 
 
-@_check("family-3p7-p7", "full")
+@_check("family-3p7-p7")
 def _family_3p7_p7() -> dict:
     return _family_summary(mds_3p_7(7, "full"))
 
 
-@_check("family-3p8-p7", "full")
+@_check("family-3p8-p7")
 def _family_3p8_p7() -> dict:
     out = _family_summary(mds_3p_8(7, "full"))
     out["omega"] = gf.primitive_cube_root(7).value
     return out
 
 
-@_check("family-3p6-p5", "fast")
+@_check("family-3p6-p5")
 def _family_3p6_p5() -> dict:
     return _family_summary(mds_3p_6(5, "full"))
 
 
-@_check("family-3p6-p7", "fast")
+@_check("family-3p6-p7")
 def _family_3p6_p7() -> dict:
     return _family_summary(mds_3p_6(7, "full"))
 
 
-@_check("family-3p6-p11", "fast")
+@_check("family-3p6-p11")
 def _family_3p6_p11() -> dict:
     return _family_summary(mds_3p_6(11, "full"))
 
@@ -219,28 +205,28 @@ def _family_n6_summary(q: int, n: int, certify: str) -> dict:
     return out
 
 
-@_check("family-n6-q3-n8", "fast")
+@_check("family-n6-q3-n8")
 def _family_n6_q3_n8() -> dict:
     return _family_n6_summary(3, 8, "full")
 
 
-@_check("family-n6-q5-n24", "fast")
+@_check("family-n6-q5-n24")
 def _family_n6_q5_n24() -> dict:
     return _family_n6_summary(5, 24, "full")
 
 
-@_check("family-n6-q7-n16", "fast")
+@_check("family-n6-q7-n16")
 def _family_n6_q7_n16() -> dict:
     return _family_n6_summary(7, 16, "full")
 
 
-@_check("family-n6-q7-n48", "fast")
+@_check("family-n6-q7-n48")
 def _family_n6_q7_n48() -> dict:
     # certification level "bounds": structural + Hartmann-Tzeng only
     return _family_n6_summary(7, 48, "bounds")
 
 
-@_check("family-n6-q7-n48-full", "fast")
+@_check("family-n6-q7-n48-full")
 def _family_n6_q7_n48_full() -> dict:
     return _family_n6_summary(7, 48, "full")
 
@@ -266,7 +252,7 @@ def _enumerated_hamming(code: ConstacyclicCode):
     return min_hamming_distance(code, strategy)
 
 
-@_check("castagnoli-vs-enumeration", "fast")
+@_check("castagnoli-vs-enumeration")
 def _castagnoli_sweep() -> dict:
     cases = ((2, 3, 1), (4, 3, 1), (3, 5, 1), (2, 5, 1), (2, 3, 2))
     codes = agreements = sandwich_bad = singleton_bad = 0
@@ -287,7 +273,7 @@ def _castagnoli_sweep() -> dict:
             "singleton_violations": singleton_bad}
 
 
-@_check("pair-floor-iff-sweep", "fast")
+@_check("pair-floor-iff-sweep")
 def _pair_floor_sweep() -> dict:
     corpora = ((2, range(2, 16)), (3, range(2, 10)))
     codes = iff_bad = floor_bad = part2_cases = part2_bad = singleton_bad = 0
@@ -320,7 +306,7 @@ def _pair_floor_sweep() -> dict:
             "singleton_violations": singleton_bad}
 
 
-@_check("pair-metric-identities", "fast")
+@_check("pair-metric-identities")
 def _pair_metric_identities() -> dict:
     rng = random.Random(170023)
     fields = (gf.prime_field(2), gf.prime_field(3), gf.prime_field(5),
@@ -404,4 +390,4 @@ EXPECTED: dict[str, dict] = {
     "pair-metric-identities": {"words": 10_000, "mismatches": 0},
 }
 
-assert set(EXPECTED) == set(_CHECKS)
+assert list(EXPECTED) == list(_CHECKS)

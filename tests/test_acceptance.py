@@ -6,14 +6,10 @@ pins the headline numbers as literals here, so the gate cannot drift even
 if the frozen table is edited.  Results are cached per session: criteria
 that aggregate earlier sweeps reuse them instead of re-enumerating.
 
-Criteria 3, 4 and 5 carry the ``full`` marker because they certify pair
-distances that message-side enumeration needs ~10^8 to ~2x10^9 encodings
-for; ``auto`` certifies them on the parity side with about a thousand
-column reductions each, in milliseconds.  They are marked for
-bookkeeping, not skipped: a plain ``pytest`` run executes every criterion.
+Criteria 3, 4 and 5 certify pair distances that message-side enumeration
+needs ~10^8 to ~2x10^9 encodings for; ``auto`` certifies them on the parity
+side with about a thousand column reductions each, in milliseconds.
 """
-
-import pytest
 
 from sympair import verify
 
@@ -50,7 +46,6 @@ def test_criterion_02_reference_code_15_11_3():
     assert r.computed["pair_encodings_lt_1e7"] is True
 
 
-@pytest.mark.full
 def test_criterion_03_reference_code_21_14_5():
     r = _run("code-21-14-5-gf7")
     assert r.computed["castagnoli"] == 5
@@ -60,7 +55,6 @@ def test_criterion_03_reference_code_21_14_5():
     assert r.computed["pair_certified"] is True
 
 
-@pytest.mark.full
 def test_criterion_04_family_3p_7_certified():
     fast = _run("family-3p7-p5")
     assert fast.computed["n"] == 15 and fast.computed["k"] == 10
@@ -73,7 +67,6 @@ def test_criterion_04_family_3p_7_certified():
     assert heavy.computed["is_mds_pair"] is True
 
 
-@pytest.mark.full
 def test_criterion_05_family_3p_8_certified():
     r = _run("family-3p8-p7")
     assert r.computed["n"] == 21 and r.computed["k"] == 15

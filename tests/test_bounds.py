@@ -194,6 +194,18 @@ def test_castagnoli_agrees_with_exhaustive_small():
     assert agreements == 14
 
 
+def test_castagnoli_large_residue_code_agrees_with_bounded():
+    # x^15 - 1 over GF(2): g = (x^2+x+1)^2 (x^4+x+1) leaves the t = 1 residue
+    # code generated by x^2+x+1 alone, a [15, 13] code with 8192 codewords,
+    # above the exhaustive-scan limit of ``auto``
+    F2 = gf.prime_field(2)
+    g = Poly(F2, [1, 1, 1]) ** 2 * Poly(F2, [1, 1, 0, 0, 1])
+    c = ConstacyclicCode.from_generator(F2, 30, 1, g)
+    residue = bounds.residue_code(c, 1)
+    assert F2.q ** residue.k - 1 > 4096
+    assert bounds.castagnoli_distance(c) == code.min_hamming_distance(c, "bounded").value
+
+
 def test_castagnoli_zero_code_rejected():
     zero = ConstacyclicCode.from_generator(F5, 15, 1, poly.binomial(F5, 15, 1))
     with pytest.raises(errors.ZeroCodeError):

@@ -159,6 +159,16 @@ def test_verify_json_output(capsys):
     assert len(payload) == 1
     assert payload[0]["name"] == "pair-metric-identities"
     assert payload[0]["passed"] is True
+    assert "tier" not in payload[0]
+
+
+def test_verify_runs_every_check_in_order(capsys):
+    rc, out = _run(capsys, ["verify", "--json"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert [r["name"] for r in payload] == list(verify.EXPECTED)
+    assert len(payload) == 17
+    assert all(r["passed"] and "tier" not in r for r in payload)
 
 
 def test_verify_unknown_check_is_input_error(capsys):
@@ -215,7 +225,7 @@ def test_search_budget_truncates_with_exit_3(capsys):
     ["search", "--q", "3", "--n", "8"]])
 def test_jobs_option_is_gone(tmp_path, command):
     argv = [_write_spec(tmp_path, SPEC_15_11) if a == "SPEC" else a for a in command]
-    for option in (["--jobs", "2"], ["--seed", "0"]):
+    for option in (["--jobs", "2"], ["--seed", "0"], ["--tier", "full"]):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(argv + option)
         assert exc_info.value.code == 2

@@ -19,10 +19,12 @@ def test_family_3p_7_smallest_prime_full():
 
 
 def test_family_3p_7_certify_levels():
-    hamming_only = constructions.mds_3p_7(5)
-    assert hamming_only.d_hamming.value == 4
-    assert hamming_only.d_pair is None
-    assert hamming_only.is_mds_pair is None
+    default = constructions.mds_3p_7(5)
+    assert default.d_hamming.value == 4
+    assert default.d_pair.value == 7 and default.d_pair.certified
+    assert default.is_mds_pair is True
+    with pytest.raises(errors.BadParameterError):
+        constructions.mds_3p_7(5, "hamming")
     # repeated-root families certify d_H even at "bounds" level because the
     # residue-product formula is nearly free; only the pair scan is deferred
     structural = constructions.mds_3p_7(11, "bounds")
@@ -45,7 +47,7 @@ def test_family_3p_7_parameter_gates():
 
 
 def test_family_3p_8_structure():
-    res = constructions.mds_3p_8(7, "hamming")
+    res = constructions.mds_3p_8(7, "full")
     assert (res.code.n, res.code.k) == (21, 15)
     assert res.d_hamming.value == 4
     f7 = gf.prime_field(7)
@@ -54,6 +56,19 @@ def test_family_3p_8_structure():
     assert omega == 2
     expected_g = (x - one) ** 3 * (x - Poly(f7, [omega])) ** 2 * (x - Poly(f7, [f7.mul(omega, omega)]))
     assert res.code.g == expected_g
+
+
+def test_family_budget_covers_both_distances():
+    res = constructions.mds_3p_8(7, "full")
+    d_h, d_p = res.d_hamming.enumeration_count, res.d_pair.enumeration_count
+    budget = max(d_h, d_p)  # enough for either distance alone, not for both
+    assert budget < d_h + d_p
+    with pytest.raises(errors.BudgetExceededError) as exc_info:
+        constructions.mds_3p_8(7, "full", budget=budget)
+    with pytest.raises(errors.BudgetExceededError) as pair_only:
+        code.min_pair_distance(res.code, "auto", budget=budget - d_h)
+    assert exc_info.value.enumerated == d_h + pair_only.value.enumerated
+    assert exc_info.value.enumerated <= budget
 
 
 def test_family_3p_8_rejects_wrong_residue():
@@ -119,7 +134,7 @@ def test_family_n_6_smallest_case_full():
 
 
 def test_family_n_6_prime_power_alphabet():
-    res = constructions.mds_n_6(4, 15, "hamming")
+    res = constructions.mds_n_6(4, 15, "full")
     assert res.code.field.q == 4
     assert (res.code.n, res.code.k) == (15, 11)
     assert res.d_hamming.value == 4
