@@ -43,6 +43,7 @@ from .code import (
     DistanceResult,
     as_word,
     constacyclic_shift,
+    divisor_codes,
     hamming_distance,
     hamming_weight,
     min_hamming_distance,
@@ -103,6 +104,7 @@ __all__ = [
     "cyclotomic_coset", "cyclotomic_cosets", "multiplicative_order_mod",
     # codes and the pair metric
     "ConstacyclicCode", "DistanceResult", "as_word", "constacyclic_shift",
+    "divisor_codes",
     "hamming_weight", "hamming_distance", "pair_read_vector", "pair_weight",
     "pair_distance", "min_hamming_distance", "min_pair_distance",
     # bounds

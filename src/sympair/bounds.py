@@ -261,20 +261,11 @@ def repeated_root_pair_floor(code: ConstacyclicCode, d_hamming: int) -> Repeated
 # ----------------------------------------------------------------------
 # defining-set bounds (simple-root cyclic codes)
 
-def _validate_exponent_set(T, n: int) -> set[int]:
-    out = set()
-    for x in T:
-        if not isinstance(x, int) or not 0 <= x < n:
-            raise BadParameterError(f"exponent {x!r} is not in Z_{n}")
-        out.add(x)
-    return out
-
-
 def bch_bound(T, n: int) -> int:
     """1 + the longest circular run of consecutive residues contained in T."""
     if not isinstance(n, int) or n < 1:
         raise BadParameterError(f"modulus must be a positive integer, got {n!r}")
-    T = _validate_exponent_set(T, n)
+    T = poly.exponent_set(T, n)
     if len(T) == n:
         return n + 1
     best = 0
@@ -297,7 +288,7 @@ def hartmann_tzeng_bound(T, n: int, q: int) -> int:
     """
     if math.gcd(n, q) != 1:
         raise NotCoprimeError(f"gcd({n}, {q}) = {math.gcd(n, q)} != 1")
-    T = _validate_exponent_set(T, n)
+    T = poly.exponent_set(T, n)
     if {x * q % n for x in T} - T:
         raise NotUnionOfCosetsError(
             f"T is not closed under *{q} mod {n}; the bound applies to defining sets only")

@@ -251,20 +251,17 @@ class ConstacyclicCode:
         if math.gcd(n, q) != 1:
             raise NotCoprimeError(
                 f"defining sets need gcd(n, q) = 1, got gcd({n}, {q}) = {math.gcd(n, q)}")
-        T = set()
-        for j in exponents:
-            if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < n:
-                raise BadParameterError(f"exponent {j!r} is not in Z_{n}")
-            T.add(j)
+        T = poly.exponent_set(exponents, n)
+        cosets = poly.cyclotomic_cosets(n, q)
         if expand:
-            T = {x for j in T for x in poly.cyclotomic_coset(n, q, j).members}
+            T = {x for c in cosets if not T.isdisjoint(c.members) for x in c.members}
         else:
             missing = {j * q % n for j in T} - T
             if missing:
                 raise NotUnionOfCosetsError(
                     f"exponent set is not closed under *{q} mod {n}: missing {sorted(missing)}")
         g = poly.Poly.one(field)
-        for coset in poly.cyclotomic_cosets(n, q):
+        for coset in cosets:
             if coset.representative in T:
                 g = g * poly.minimal_polynomial(coset, field)
         code = cls(field, n, 1, g, defining_set=frozenset(T))
@@ -412,6 +409,24 @@ class ConstacyclicCode:
             assert (std[:, :k] == np.eye(k, dtype=np.int64)).all()
             self._std_form = std
         return self._std_form
+
+
+def divisor_codes(field: gf.Field, n: int, lam: int):
+    """Every nonzero code generated by a monic divisor of x^n - lam, the full
+    space (g = 1) included.
+
+    Codes come in lexicographic order of the multiplicity vector over the
+    factors of ``poly.factor(x^n - lam)`` (sorted by degree, then
+    coefficients), so a corpus built from them is reproducible.
+    """
+    factors = poly.factor(poly.binomial(field, n, lam)).factors
+    for exps in itertools.product(*(range(m + 1) for _f, m in factors)):
+        if all(e == m for e, (_f, m) in zip(exps, factors)):
+            continue  # g = x^n - lam: the zero code
+        g = poly.Poly.one(field)
+        for e, (f, _m) in zip(exps, factors):
+            g = g * f ** e
+        yield ConstacyclicCode(field, n, lam, g)
 
 
 # ----------------------------------------------------------------------

@@ -16,17 +16,20 @@ Constructors verify their output rather than trusting the formulas: the
 ``certify`` level controls how much enumeration that takes (see
 ``ConstructionResult``).  Checks that must hold by construction are plain
 asserts; violated *input* preconditions raise BadParameterError.
+
+``search_optimal_cyclic`` certifies both distances of every proper nonzero
+cyclic code that ``code.divisor_codes`` yields for (GF(q), n, lambda = 1).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import gf, poly
 from .code import (
     ConstacyclicCode,
     DistanceResult,
+    divisor_codes,
     min_hamming_distance,
     min_pair_distance,
 )
@@ -189,17 +192,12 @@ def mds_n_6(q: int, n: int, certify: str = "full", *,
     if n < q + 4:
         raise BadParameterError(f"n must be at least q + 4 = {q + 4}, got {n}")
     field = _field_of_order(q)
-    c0 = poly.cyclotomic_coset(n, q, 0)
-    c1 = poly.cyclotomic_coset(n, q, 1)
-    cq1 = poly.cyclotomic_coset(n, q, q + 1)
-    # n >= q + 4 forces these sizes, which in turn force k = n - 4
-    assert len(c1) == 2 and len(cq1) == 1
-    defining = sorted(set(c0.members) | set(c1.members) | set(cq1.members))
-    code = ConstacyclicCode.from_defining_set(field, n, defining)
+    # n >= q + 4 makes C_1 = {1, q} and C_{q+1} = {q + 1}, so k = n - 4
+    code = ConstacyclicCode.from_defining_set(field, n, (0, 1, q + 1), expand=True)
     spec = FamilySpec("MDS_N_6", {"q": q, "n": n}, n, n - 4, 4, 6)
     assert code.k == spec.expected_k
     from .bounds import hartmann_tzeng_bound
-    assert hartmann_tzeng_bound(defining, n, q) >= spec.expected_d_hamming
+    assert hartmann_tzeng_bound(code.defining_set(), n, q) >= spec.expected_d_hamming
     return _certified(code, spec, certify, budget)
 
 
@@ -237,30 +235,22 @@ def search_optimal_cyclic(q: int, n: int, max_codes: int | None = None,
     """Certified (d_H, d_p) for every nontrivial cyclic code of length n over
     GF(q), flagging codes that meet the pair-Singleton bound with equality.
 
-    Generators are enumerated through the multiplicity lattice of the
-    factorization of x^n - 1, in lexicographic order over the factor list
-    (factors sorted by degree, then coefficients), skipping k in {0, n}.
-    ``budget`` caps total work (encodings and column reductions) across
-    the whole search; running out raises BudgetExceededError with the
-    finished entries attached.
+    Codes come in the order of ``divisor_codes(GF(q), n, 1)``, skipping the
+    full space (k = n).  ``budget`` caps total work (encodings and column
+    reductions) across the whole search; running out raises
+    BudgetExceededError with the finished entries attached.
     """
     if max_codes is not None and max_codes < 1:
         raise BadParameterError(f"max_codes must be positive when given, got {max_codes!r}")
-    field = _field_of_order(q)
-    factors = poly.factor(poly.binomial(field, n, 1))
     entries: list[SearchEntry] = []
     spent = 0
 
     def remaining() -> int | None:
         return None if budget is None else budget - spent
 
-    for exponents in itertools.product(*(range(m + 1) for _f, m in factors)):
-        if not any(exponents) or all(e == m for e, (_f, m) in zip(exponents, factors)):
-            continue  # k = n (g = 1) and k = 0 (g = x^n - 1)
-        g = poly.Poly.one(field)
-        for e, (f, _m) in zip(exponents, factors):
-            g = g * f ** e
-        code = ConstacyclicCode(field, n, 1, g)
+    for code in divisor_codes(_field_of_order(q), n, 1):
+        if code.k == n:
+            continue
         try:
             d_h = min_hamming_distance(code, "auto", budget=remaining())
             spent += d_h.enumeration_count

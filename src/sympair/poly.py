@@ -340,14 +340,19 @@ def cyclotomic_cosets(n: int, q: int) -> list[CyclotomicCoset]:
 
 def cyclotomic_coset(n: int, q: int, exponent: int) -> CyclotomicCoset:
     """The single q-cyclotomic coset modulo n containing ``exponent``."""
-    if math.gcd(n, q) != 1:
-        raise NotCoprimeError(f"gcd({n}, {q}) = {math.gcd(n, q)} != 1")
-    orbit = set()
-    x = exponent % n
-    while x not in orbit:
-        orbit.add(x)
-        x = x * q % n
-    return CyclotomicCoset(n=n, q=q, members=tuple(sorted(orbit)))
+    if not isinstance(exponent, int) or isinstance(exponent, bool):
+        raise BadParameterError(f"exponent must be an integer, got {exponent!r}")
+    return next(c for c in cyclotomic_cosets(n, q) if exponent % n in c)
+
+
+def exponent_set(exponents, n: int) -> set[int]:
+    """``exponents`` as a set of residues, each an int (not a bool) in Z_n."""
+    out = set()
+    for j in exponents:
+        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < n:
+            raise BadParameterError(f"exponent {j!r} is not in Z_{n}")
+        out.add(j)
+    return out
 
 
 def multiplicative_order_mod(q: int, n: int) -> int:

@@ -64,7 +64,7 @@ def code_from_spec_dict(data: dict) -> ConstacyclicCode:
         if not isinstance(coeffs, list):
             raise BadParameterError("'generator' must be a list of canonical integers")
         return ConstacyclicCode(field, n, lam, poly.Poly(field, coeffs))
-    if "lambda" in data and data["lambda"] != 1:
+    if "lambda" in data and _require_int(data, "lambda") != 1:
         raise BadParameterError("the defining-set form implies lambda = 1")
     exponents = data["defining_set"]
     if not isinstance(exponents, list):
@@ -78,9 +78,9 @@ def load_code_spec(source) -> ConstacyclicCode:
         return code_from_spec_dict(source)
     if isinstance(source, (str, os.PathLike)):
         try:
-            data = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise BadParameterError(f"code spec {source} is not valid JSON: {exc}") from exc
+            data = json.loads(Path(source).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BadParameterError(f"code spec {source} is not valid UTF-8 JSON: {exc}") from exc
         return code_from_spec_dict(data)
     raise BadParameterError(f"expected a path or dict, got {type(source).__name__}")
 

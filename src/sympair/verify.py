@@ -9,12 +9,14 @@ would need several hundred million encodings for are settled by the
 dependency search in milliseconds.
 
 Check names describe the object under test, e.g. ``code-24-3-19-gf5`` is
-the [24, 3, 19] code over GF(5).
+the [24, 3, 19] code over GF(5).  The family checks are rows of one table,
+``_FAMILY_CHECKS`` (constructor, arguments, certify level), summarised by
+one function; the corpus sweeps walk ``code.divisor_codes``.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -23,6 +25,7 @@ from . import gf, poly
 from .bounds import bound_report, castagnoli_distance, hartmann_tzeng_bound, pair_distance_floor
 from .code import (
     ConstacyclicCode,
+    divisor_codes,
     hamming_distance,
     min_hamming_distance,
     min_pair_distance,
@@ -154,103 +157,48 @@ def _code_21_14_5() -> dict:
 # ----------------------------------------------------------------------
 # constructed families
 
-def _family_summary(result) -> dict:
-    return {
-        "n": result.code.n,
-        "k": result.code.k,
+#: check name -> (constructor, arguments, certify level), in EXPECTED order
+_FAMILY_CHECKS = {
+    "family-3p7-p5": (mds_3p_7, (5,), "full"),
+    "family-3p7-p7": (mds_3p_7, (7,), "full"),
+    "family-3p8-p7": (mds_3p_8, (7,), "full"),
+    "family-3p6-p5": (mds_3p_6, (5,), "full"),
+    "family-3p6-p7": (mds_3p_6, (7,), "full"),
+    "family-3p6-p11": (mds_3p_6, (11,), "full"),
+    "family-n6-q3-n8": (mds_n_6, (3, 8), "full"),
+    "family-n6-q5-n24": (mds_n_6, (5, 24), "full"),
+    "family-n6-q7-n16": (mds_n_6, (7, 16), "full"),
+    # "bounds": structural checks and Hartmann-Tzeng only
+    "family-n6-q7-n48": (mds_n_6, (7, 48), "bounds"),
+    "family-n6-q7-n48-full": (mds_n_6, (7, 48), "full"),
+}
+
+
+def _family_summary(construct, args: tuple, certify: str) -> dict:
+    result = construct(*args, certify)
+    code, family = result.code, result.family
+    out = {
+        "n": code.n,
+        "k": code.k,
         "d_hamming": None if result.d_hamming is None else result.d_hamming.value,
         "d_pair": None if result.d_pair is None else result.d_pair.value,
         "is_mds_pair": result.is_mds_pair,
     }
-
-
-@_check("family-3p7-p5")
-def _family_3p7_p5() -> dict:
-    return _family_summary(mds_3p_7(5, "full"))
-
-
-@_check("family-3p7-p7")
-def _family_3p7_p7() -> dict:
-    return _family_summary(mds_3p_7(7, "full"))
-
-
-@_check("family-3p8-p7")
-def _family_3p8_p7() -> dict:
-    out = _family_summary(mds_3p_8(7, "full"))
-    out["omega"] = gf.primitive_cube_root(7).value
+    if family.family == "MDS_3P_8":
+        out["omega"] = gf.primitive_cube_root(family.parameters["p"]).value
+    elif family.family == "MDS_N_6":
+        defining = sorted(code.defining_set())
+        out["defining_set"] = defining
+        out["hartmann_tzeng"] = hartmann_tzeng_bound(defining, code.n, code.field.q)
     return out
 
 
-@_check("family-3p6-p5")
-def _family_3p6_p5() -> dict:
-    return _family_summary(mds_3p_6(5, "full"))
-
-
-@_check("family-3p6-p7")
-def _family_3p6_p7() -> dict:
-    return _family_summary(mds_3p_6(7, "full"))
-
-
-@_check("family-3p6-p11")
-def _family_3p6_p11() -> dict:
-    return _family_summary(mds_3p_6(11, "full"))
-
-
-def _family_n6_summary(q: int, n: int, certify: str) -> dict:
-    result = mds_n_6(q, n, certify)
-    out = _family_summary(result)
-    defining = sorted(result.code.defining_set())
-    out["defining_set"] = defining
-    out["hartmann_tzeng"] = hartmann_tzeng_bound(defining, n, q)
-    return out
-
-
-@_check("family-n6-q3-n8")
-def _family_n6_q3_n8() -> dict:
-    return _family_n6_summary(3, 8, "full")
-
-
-@_check("family-n6-q5-n24")
-def _family_n6_q5_n24() -> dict:
-    return _family_n6_summary(5, 24, "full")
-
-
-@_check("family-n6-q7-n16")
-def _family_n6_q7_n16() -> dict:
-    return _family_n6_summary(7, 16, "full")
-
-
-@_check("family-n6-q7-n48")
-def _family_n6_q7_n48() -> dict:
-    # certification level "bounds": structural + Hartmann-Tzeng only
-    return _family_n6_summary(7, 48, "bounds")
-
-
-@_check("family-n6-q7-n48-full")
-def _family_n6_q7_n48_full() -> dict:
-    return _family_n6_summary(7, 48, "full")
+for _name, _how in _FAMILY_CHECKS.items():
+    _check(_name)(functools.partial(_family_summary, *_how))
 
 
 # ----------------------------------------------------------------------
 # corpus sweeps
-
-def _divisor_codes(field: gf.Field, n: int):
-    """All cyclic codes of length n over the field, by multiplicity vector
-    in lexicographic order; k = 0 is skipped, k = n included."""
-    factors = poly.factor(poly.binomial(field, n, 1))
-    for exps in itertools.product(*(range(m + 1) for _f, m in factors)):
-        if all(e == m for e, (_f, m) in zip(exps, factors)):
-            continue  # the zero code
-        g = poly.Poly.one(field)
-        for e, (f, _m) in zip(exps, factors):
-            g = g * f ** e
-        yield ConstacyclicCode(field, n, 1, g)
-
-
-def _enumerated_hamming(code: ConstacyclicCode):
-    strategy = "exhaustive" if code.field.q ** code.k <= 4096 else "bounded_weight"
-    return min_hamming_distance(code, strategy)
-
 
 @_check("castagnoli-vs-enumeration")
 def _castagnoli_sweep() -> dict:
@@ -259,8 +207,8 @@ def _castagnoli_sweep() -> dict:
     for ell, p, e in cases:
         field = gf.prime_field(p)
         n = ell * p ** e
-        for code in _divisor_codes(field, n):
-            d_h = _enumerated_hamming(code).value
+        for code in divisor_codes(field, n, 1):
+            d_h = min_hamming_distance(code, "bounded").value
             d_p = min_pair_distance(code).value
             codes += 1
             agreements += castagnoli_distance(code) == d_h
@@ -280,10 +228,10 @@ def _pair_floor_sweep() -> dict:
     for q, lengths in corpora:
         field = gf.prime_field(q)
         for n in lengths:
-            for code in _divisor_codes(field, n):
+            for code in divisor_codes(field, n, 1):
                 if code.k == n:
                     continue
-                d_h = _enumerated_hamming(code).value
+                d_h = min_hamming_distance(code, "bounded").value
                 if not 2 <= d_h < n:
                     continue  # only k=1 full-weight codes fall outside
                 codes += 1

@@ -77,17 +77,9 @@ def test_pair_floor_soundness_exhaustive_sweep():
     for q in (2, 3):
         field = gf.prime_field(q)
         for n in range(2, 10):
-            fac = poly.factor(poly.binomial(field, n, 1))
-            combos = [[]]
-            for f, e in fac:
-                combos = [c + [(f, m)] for c in combos for m in range(e + 1)]
-            for combo in combos:
-                g = Poly.one(field)
-                for f, m in combo:
-                    g = g * f**m
-                if g.degree in (0, n):
+            for c in code.divisor_codes(field, n, 1):
+                if c.k == n:
                     continue
-                c = ConstacyclicCode.from_generator(field, n, 1, g)
                 d_h = code.min_hamming_distance(c, "exhaustive").value
                 if not 2 <= d_h < n:
                     continue
@@ -176,18 +168,10 @@ def test_castagnoli_distance_examples():
 def test_castagnoli_agrees_with_exhaustive_small():
     field = F3
     n = 6
-    fac = poly.factor(poly.binomial(field, n, 1))
-    combos = [[]]
-    for f, e in fac:
-        combos = [c + [(f, m)] for c in combos for m in range(e + 1)]
     agreements = 0
-    for combo in combos:
-        g = Poly.one(field)
-        for f, m in combo:
-            g = g * f**m
-        if g.degree in (0, n):
+    for c in code.divisor_codes(field, n, 1):
+        if c.k == n:
             continue
-        c = ConstacyclicCode.from_generator(field, n, 1, g)
         assert bounds.castagnoli_distance(c) == code.min_hamming_distance(c, "exhaustive").value
         agreements += 1
     # x^6 - 1 = (x-1)^3 (x+1)^3 over GF(3): 4 * 4 multiplicity choices minus the two trivial codes
@@ -237,17 +221,9 @@ def test_repeated_root_pair_floor_never_guesses():
     # whenever it claims a floor, exhaustive enumeration confirms it
     field = F3
     for n in (6, 12):
-        fac = poly.factor(poly.binomial(field, n, 1))
-        combos = [[]]
-        for f, e in fac:
-            combos = [c + [(f, m)] for c in combos for m in range(e + 1)]
-        for combo in combos:
-            g = Poly.one(field)
-            for f, m in combo:
-                g = g * f**m
-            if g.degree in (0, n):
+        for c in code.divisor_codes(field, n, 1):
+            if c.k == n:
                 continue
-            c = ConstacyclicCode.from_generator(field, n, 1, g)
             d_h = code.min_hamming_distance(c, "exhaustive").value
             floor = bounds.repeated_root_pair_floor(c, d_h)
             if floor.applicable:
@@ -262,6 +238,8 @@ def test_bch_bound_examples():
     assert bounds.bch_bound(set(range(24)) - {0, 19, 23}, 24) == 19
     assert bounds.bch_bound({14, 0, 1}, 15) == 4  # wraparound run
     assert bounds.bch_bound(set(range(15)), 15) == 16
+    with pytest.raises(errors.BadParameterError):
+        bounds.bch_bound([True], 3)
 
 
 def test_hartmann_tzeng_examples():
@@ -275,6 +253,8 @@ def test_hartmann_tzeng_validation():
         bounds.hartmann_tzeng_bound({0}, 6, 3)
     with pytest.raises(errors.NotUnionOfCosetsError):
         bounds.hartmann_tzeng_bound({1}, 8, 3)
+    with pytest.raises(errors.BadParameterError):
+        bounds.hartmann_tzeng_bound([True], 3, 2)
 
 
 def test_hartmann_tzeng_dominates_bch():

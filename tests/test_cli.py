@@ -66,6 +66,14 @@ def test_analyze_malformed_spec_is_input_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_analyze_non_utf8_spec_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "binary.json"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    rc = cli.main(["analyze", str(bad)])
+    assert rc == cli.EXIT_INPUT == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_analyze_budget_emits_partial_and_exit_3(tmp_path, capsys):
     spec = _write_spec(tmp_path, SPEC_15_11)
     rc, out = _run(capsys, ["analyze", spec, "--json", "--budget", "50"])

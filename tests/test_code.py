@@ -1,12 +1,12 @@
 """Constacyclic codes, the symbol-pair metric, and the distance engines."""
 
-import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+import sympair
 from sympair import code, constructions, errors, gf, poly
 from sympair.code import ConstacyclicCode
 from sympair.poly import Poly
@@ -218,18 +218,8 @@ def test_strategy_agreement_small_codes():
              (F4, 5, 1), (F4, 6, 1), (F9, 4, 1), (F9, 5, 2)]
     checked = 0
     for field, n, lam in cases:
-        fac = poly.factor(poly.binomial(field, n, lam))
-        combos = [[]]
-        for f, e in fac:
-            combos = [c + [(f, m)] for c in combos for m in range(e + 1)]
-        for combo in combos:
-            g = Poly.one(field)
-            for f, m in combo:
-                g = g * f**m
-            if g.degree in (0, n):
-                continue
-            c = ConstacyclicCode.from_generator(field, n, lam, g)
-            if field.q**c.k > 200_000:
+        for c in code.divisor_codes(field, n, lam):
+            if c.k == n or field.q**c.k > 200_000:
                 continue
             dh_ex = code.min_hamming_distance(c, "exhaustive")
             dh_bd = code.min_hamming_distance(c, "bounded")
@@ -368,6 +358,17 @@ def test_is_simple_root_and_is_cyclic_flags():
     assert neg.defining_set() is None
 
 
+def test_divisor_codes_order():
+    # x^3 - 1 = (x + 1)(x^2 + x + 1) over GF(2): multiplicity vectors (0, 0),
+    # (0, 1), (1, 0); (1, 1) would be the zero code
+    assert [c.g for c in code.divisor_codes(F2, 3, 1)] == [
+        Poly.one(F2), Poly(F2, [1, 1, 1]), Poly(F2, [1, 1])]
+    # x^3 - 2 = (x + 1)^3 over GF(3)
+    x_plus_1 = Poly(F3, [1, 1])
+    assert [(c.lam, c.g) for c in sympair.divisor_codes(F3, 3, 2)] == [
+        (2, Poly.one(F3)), (2, x_plus_1), (2, x_plus_1 ** 2)]
+
+
 # ----------------------------------------------------------------------
 # parity-side dependency search
 
@@ -380,17 +381,6 @@ DIFFERENTIAL_LENGTHS = {
     F2: range(2, 13), F3: range(2, 10), F4: range(2, 8), F5: range(2, 8),
     F7: range(2, 7), F8: range(2, 6), F9: range(2, 6),
 }
-
-
-def _divisor_codes(field, n, lam):
-    """Every nonzero code generated by a monic divisor of x^n - lam, k = n included."""
-    fac = poly.factor(poly.binomial(field, n, lam))
-    for exps in itertools.product(*(range(m + 1) for _f, m in fac)):
-        g = Poly.one(field)
-        for e, (f, _m) in zip(exps, fac):
-            g = g * f**e
-        if g.degree < n:
-            yield ConstacyclicCode.from_generator(field, n, lam, g)
 
 
 def _support_levels(n, k, for_pair):
@@ -417,7 +407,7 @@ def test_dependency_matches_enumeration_on_constacyclic_corpus():
     for field, lengths in DIFFERENTIAL_LENGTHS.items():
         for n in lengths:
             for lam in range(1, field.q):
-                for c in _divisor_codes(field, n, lam):
+                for c in code.divisor_codes(field, n, lam):
                     reference = "exhaustive" if field.q**c.k <= 1 << 16 else "bounded"
                     dh = code.min_hamming_distance(c, "dependency")
                     dp = code.min_pair_distance(c, "dependency")
@@ -482,7 +472,7 @@ def test_dependency_full_support_only_codes():
     # to the end, so the count is the whole worst case, and the answer is n
     cases = [(F3, 5, 1), (F5, 6, 1), (F5, 3, 2), (F4, 5, 1), (F9, 4, 1)]
     for field, n, lam in cases:
-        full = [c for c in _divisor_codes(field, n, lam) if c.k == 1
+        full = [c for c in code.divisor_codes(field, n, lam) if c.k == 1
                 and code.min_hamming_distance(c, "exhaustive").value == n]
         assert full, (field, n, lam)
         for c in full:

@@ -137,6 +137,9 @@ def test_single_coset_lookup():
     c = poly.cyclotomic_coset(24, 5, 23)
     assert c.members == (19, 23)
     assert c.representative == 19
+    for n, q, exponent in ((0, 2, 1), (8, 3, 1.5)):
+        with pytest.raises(errors.BadParameterError):
+            poly.cyclotomic_coset(n, q, exponent)
 
 
 def test_minimal_polynomial_examples():

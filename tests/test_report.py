@@ -62,6 +62,7 @@ def test_spec_validation_rejects_malformed_inputs():
         dict(SPEC_15_11, generator="10441"),
         dict(SPEC_15_11, generator=[1, 4, 0, 4, 7]),  # coefficient out of range
         dict(SPEC_15_11, m=0),
+        {"p": 3, "m": 1, "n": 4, "defining_set": [0], "lambda": True},
     ]
     for bad in cases:
         with pytest.raises(errors.BadParameterError):
