@@ -44,21 +44,23 @@ run-start-at-0 supports of at most n - k + 1 positions and cost <= D, up to
 the (pair) weight of g, which is itself a codeword.  The smaller count wins;
 ties go to the message side.
 
-Enumeration is vectorized over blocks of one shape: R message values on
-each of a batch of B supports of t information positions (a full scan is
-one support of all k positions).  For prime fields a block is one batched
-float matmul, exact because every dot product is at most (q-1)^2 * t.
-float32 is used while that stays below 2^24, float64 otherwise: float32
-halves the bytes a block moves, and on full-size blocks the float32 kernel
-ran 2-28% faster than float64 (one thread, numpy 2.4).  Extension fields
-use table-gather accumulation over int16 add/mul tables built once per
-field; the products come from the field's own exp/log tables.
-``_CELL_BUDGET`` caps the cells of one block, and so peak memory.  At 2^18
-cells the ``low-rate`` benchmark workload peaks at 34.6 MB against 40.9 MB
-at 2^22, with the same median CPU time (0.369 s a pass; 4 alternating runs
-each, 2 cores, CPython 3.11, numpy 2.4).  Levels are always scanned
-completely, in a fixed order, so results and enumeration counts are
-deterministic.
+Both message-side scans run through one walker, ``_scan``: a weight level
+is many supports with values 1..q-1, the exhaustive scan the one support
+of all k positions with values 0..q-1.  So a witness codeword, the argmin
+row, has one place to be kept for both (none is kept yet).  ``_blocks``
+cuts a scan into blocks of at most ``_CELL_BUDGET`` cells.  For prime
+fields a block is one batched float matmul, exact because every dot
+product is at most (q-1)^2 * t.  float32 is used while that stays below
+2^24, float64 otherwise: float32 halves the bytes a block moves, and on
+full-size blocks the float32 kernel ran 2-28% faster than float64 (one
+thread, numpy 2.4).  Extension fields use table-gather accumulation over
+int16 add/mul tables built once per field; the products come from the
+field's own exp/log tables.  ``_CELL_BUDGET`` caps the cells of one block,
+and so peak memory.  At 2^18 cells the ``low-rate`` benchmark workload
+peaks at 34.6 MB against 40.9 MB at 2^22, with the same median CPU time
+(0.369 s a pass; 4 alternating runs each, 2 cores, CPython 3.11, numpy
+2.4).  Levels are always scanned completely, in a fixed order, so results
+and enumeration counts are deterministic.
 """
 
 from __future__ import annotations
@@ -468,92 +470,53 @@ def _field_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-class _Enumerator:
-    """Streams nonzero-codeword masks for weight levels or full scans."""
+def _encode_block(field: gf.Field, G: np.ndarray, digits: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """Nonzero mask of the codewords for a block of messages.
 
-    def __init__(self, code: ConstacyclicCode):
-        self.field = code.field
-        self.q = code.field.q
-        self.k = code.k
-        self.n = code.n
-        self.count = 0
-        self.G_int = code.standard_form()
-        self.tables = None if self.field.base is None else _field_tables(self.field)
+    G: the standard form; digits: (R, t) message values; cols: (B, t) batch
+    of the information positions they occupy.  Returns a boolean array of
+    shape (B, R, n).
+    """
+    if field.base is None:
+        q, t = field.q, digits.shape[1]
+        # float32 is exact while every dot product stays below 2^24
+        dt = np.float32 if (q - 1) ** 2 * t < (1 << 24) else np.float64
+        C = digits.astype(dt) @ G.astype(dt)[cols]
+        np.remainder(C, q, out=C)
+        return C != 0
+    add_t, mul_t = _field_tables(field)
+    sel = G.astype(np.int16)[cols]
+    acc = np.zeros((sel.shape[0], digits.shape[0], G.shape[1]), dtype=np.int16)
+    for i in range(digits.shape[1]):
+        acc = add_t[acc, mul_t[digits[:, i][None, :, None], sel[:, i, :][:, None, :]]]
+    return acc != 0
 
-    def level_size(self, t: int) -> int:
-        return _level_size(self.q, self.k, t)
 
-    def _encode_block(self, digits: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Nonzero mask of the codewords for a block of messages.
+def _blocks(supports, rows: range, n: int):
+    """Yield (support batch, row slice) blocks that cover every (support,
+    row) pair once, at most _CELL_BUDGET cells each: a batch of supports
+    sharing every row, or one support with a slice of the rows."""
+    chunk = max(1, _CELL_BUDGET // n)
+    batch_size = max(1, chunk // len(rows))
+    supports = iter(supports)
+    while batch := list(itertools.islice(supports, batch_size)):
+        batch = np.array(batch, dtype=np.intp)
+        for a in range(0, len(rows), chunk):
+            yield batch, rows[a:a + chunk]
 
-        digits: (R, t) message values; cols: (B, t) batch of the information
-        positions they occupy.  Returns a boolean array of shape (B, R, n).
-        """
-        if self.tables is None:
-            t = digits.shape[1]
-            # float32 is exact while every dot product stays below 2^24
-            dt = np.float32 if (self.q - 1) ** 2 * t < (1 << 24) else np.float64
-            C = digits.astype(dt) @ self.G_int.astype(dt)[cols]
-            np.remainder(C, self.q, out=C)
-            return C != 0
-        add_t, mul_t = self.tables
-        sel = self.G_int.astype(np.int16)[cols]
-        acc = np.zeros((sel.shape[0], digits.shape[0], self.n), dtype=np.int16)
-        for i in range(digits.shape[1]):
-            acc = add_t[acc, mul_t[digits[:, i][None, :, None], sel[:, i, :][:, None, :]]]
-        return acc != 0
 
-    @staticmethod
-    def _value_block(lo: int, hi: int, t: int, base: int, shift: int) -> np.ndarray:
-        """Rows lo..hi of the (base^t, t) mixed-radix table, entries + shift."""
-        idx = np.arange(lo, hi, dtype=np.int64)
-        powers = base ** np.arange(t - 1, -1, -1, dtype=np.int64)
-        return (idx[:, None] // powers[None, :]) % base + shift
-
-    def _level_tasks(self, t: int):
-        """Yield (support-batch array, value row range) tasks for one level."""
-        R = (self.q - 1) ** t
-        if R > 1 << 48:
-            raise OutOfScopeError(
-                f"level {t} has {R} value tuples; set a budget to keep scans sane")
-        row_chunk = max(1, _CELL_BUDGET // self.n)
-        if R <= row_chunk:
-            B = max(1, _CELL_BUDGET // (R * self.n))
-            slices = [(0, R)]
-        else:
-            B = 1
-            slices = [(a, min(a + row_chunk, R)) for a in range(0, R, row_chunk)]
-        supports = itertools.combinations(range(self.k), t)
-        while True:
-            chunk = list(itertools.islice(supports, B))
-            if not chunk:
-                return
-            batch = np.array(chunk, dtype=np.intp)
-            for sl in slices:
-                yield batch, sl
-
-    def scan_level(self, t: int, row_stat) -> int:
-        """min of row_stat over all weight-t messages."""
-        stats = []
-        for batch, (lo, hi) in self._level_tasks(t):
-            digits = self._value_block(lo, hi, t, self.q - 1, 1)
-            stats.append(row_stat(self._encode_block(digits, batch)))
-        self.count += self.level_size(t)
-        return min(stats)
-
-    def scan_all(self, row_stat) -> int:
-        """min of row_stat over all q^k - 1 nonzero codewords."""
-        total = self.q ** self.k - 1
-        if total >= 1 << 62:
-            raise OutOfScopeError(f"q^k = {total + 1} overflows the exhaustive scanner")
-        block = max(1, _CELL_BUDGET // self.n)
-        every = np.arange(self.k)[None, :]
-        stats = []
-        for lo in range(1, total + 1, block):
-            digits = self._value_block(lo, min(lo + block, total + 1), self.k, self.q, 0)
-            stats.append(row_stat(self._encode_block(digits, every)))
-        self.count += total
-        return min(stats)
+def _scan(field: gf.Field, G: np.ndarray, supports, rows: range, base: int,
+          shift: int, row_stat) -> int:
+    """min of row_stat over the messages that carry rows ``rows`` of the
+    mixed-radix table of ``base`` (entries + shift) on every support."""
+    stats = []
+    for batch, sl in _blocks(supports, rows, G.shape[1]):
+        powers = base ** np.arange(batch.shape[1] - 1, -1, -1, dtype=np.int64)
+        idx = np.arange(sl.start, sl.stop, dtype=np.int64)
+        digits = idx[:, None] // powers % base + shift
+        stats.append(row_stat(_encode_block(field, G, digits, batch)))
+    return min(stats)
 
 
 def _stat_min_weight(nz: np.ndarray) -> int:
@@ -757,26 +720,38 @@ def _min_weight(code: ConstacyclicCode, strategy: str, budget: int | None,
     if resolved == "dependency":
         return _dependency_search(code, for_pair, budget)
 
-    enum = _Enumerator(code)
+    field, q, k = code.field, code.field.q, code.k
+    G = code.standard_form()
     name = "pair" if for_pair else "Hamming"
     best = code.n + 1 + for_pair  # sentinel: no codeword seen yet
     # reads the current best: rows of Hamming weight > best - 2 have pair
     # weight >= best and cannot lower it
     stat = (lambda nz: _stat_min_pair_weight(nz, best - 2)) if for_pair else _stat_min_weight
     if resolved == "exhaustive":
-        _require_budget(0, code.field.q ** code.k - 1, budget, 1 + for_pair, None,
-                        f"exhaustive {name} scan")
-        return DistanceResult(enum.scan_all(stat), "exhaustive", True, enum.count)
+        total = q ** k - 1
+        _require_budget(0, total, budget, 1 + for_pair, None, f"exhaustive {name} scan")
+        if total >= 1 << 62:
+            raise OutOfScopeError(f"q^k = {total + 1} overflows the exhaustive scanner")
+        value = _scan(field, G, [range(k)], range(1, total + 1), q, 0, stat)
+        return DistanceResult(value, "exhaustive", True, total)
 
-    for t in range(1, code.k + 1):
+    count = 0
+    for t in range(1, k + 1):
         if t + for_pair >= best:
             break
-        _require_budget(enum.count, enum.level_size(t), budget,
+        size = _level_size(q, k, t)
+        _require_budget(count, size, budget,
                         min(best, t + for_pair), best if best <= code.n else None,
                         f"bounded-weight {name} scan")
-        best = min(best, enum.scan_level(t, stat))
+        R = (q - 1) ** t
+        if R > 1 << 48:
+            raise OutOfScopeError(
+                f"level {t} has {R} value tuples; set a budget to keep scans sane")
+        best = min(best, _scan(field, G, itertools.combinations(range(k), t), range(R),
+                               q - 1, 1, stat))
+        count += size
     assert best <= code.n, "a nonzero codeword must have been seen"
-    return DistanceResult(best, "bounded_weight", True, enum.count)
+    return DistanceResult(best, "bounded_weight", True, count)
 
 
 def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,

@@ -33,7 +33,7 @@ from .code import (
     min_hamming_distance,
     min_pair_distance,
 )
-from .errors import BadParameterError, BudgetExceededError
+from .errors import BadParameterError, BudgetExceededError, OutOfScopeError
 
 #: Certification levels: structure only, or both distances certified exactly.
 CERTIFY_LEVELS = ("bounds", "full")
@@ -97,6 +97,8 @@ def _require_certify(certify: str) -> None:
 
 
 def _require_odd_prime_at_least(p, minimum: int) -> None:
+    if isinstance(p, int) and p > gf.Q_LIMIT:  # before trial division
+        raise OutOfScopeError(f"field order {p} exceeds the supported limit {gf.Q_LIMIT}")
     if not isinstance(p, int) or not gf.is_prime(p):
         raise BadParameterError(f"p must be prime, got {p!r}")
     if p < minimum:
@@ -112,7 +114,7 @@ def _certified(code: ConstacyclicCode, spec: FamilySpec, certify: str,
     """
     d_h = d_p = None
     spent = 0
-    if certify == "full" or code.n % code.field.p == 0:
+    if certify == "full" or code.repeated_root_split is not None:
         # the repeated-root families certify d_H for free via the product
         # formula, so the "bounds" level gets it too
         d_h = min_hamming_distance(code, "auto", budget=budget)
@@ -184,14 +186,11 @@ def mds_n_6(q: int, n: int, certify: str = "full", *,
     _require_certify(certify)
     if not isinstance(q, int) or q < 3:
         raise BadParameterError(f"q must be a prime power >= 3, got {q!r}")
-    ps = gf.prime_factors(q)
-    if len(ps) != 1:
-        raise BadParameterError(f"q must be a prime power, got {q} = {' * '.join(map(str, ps))} * ...")
+    field = _field_of_order(q)
     if not isinstance(n, int) or n < 2 or (q * q - 1) % n != 0:
         raise BadParameterError(f"n must divide q^2 - 1 = {q * q - 1}, got {n!r}")
     if n < q + 4:
         raise BadParameterError(f"n must be at least q + 4 = {q + 4}, got {n}")
-    field = _field_of_order(q)
     # n >= q + 4 makes C_1 = {1, q} and C_{q+1} = {q + 1}, so k = n - 4
     code = ConstacyclicCode.from_defining_set(field, n, (0, 1, q + 1), expand=True)
     spec = FamilySpec("MDS_N_6", {"q": q, "n": n}, n, n - 4, 4, 6)
@@ -202,6 +201,8 @@ def mds_n_6(q: int, n: int, certify: str = "full", *,
 
 
 def _field_of_order(q: int) -> gf.Field:
+    if q > gf.Q_LIMIT:  # before factoring, which would take ~sqrt(q) steps
+        raise OutOfScopeError(f"field order {q} exceeds the supported limit {gf.Q_LIMIT}")
     if q < 2 or len(gf.prime_factors(q)) != 1:
         raise BadParameterError(f"q must be a prime power >= 2, got {q}")
     (p,) = gf.prime_factors(q)

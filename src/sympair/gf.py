@@ -420,6 +420,8 @@ def prime_field(p: int) -> Field:
     """GF(p) for prime p."""
     if not isinstance(p, int) or p < 2:
         raise BadParameterError(f"field characteristic must be an integer >= 2, got {p!r}")
+    if p > Q_LIMIT:  # before trial division, which would take ~sqrt(p) steps
+        raise OutOfScopeError(f"field order {p} exceeds the supported limit {Q_LIMIT}")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     return Field(p, (0, 1), None)
@@ -433,8 +435,9 @@ def extension_field(p: int, m: int) -> Field:
     base = prime_field(p)
     if m == 1:
         return base
-    if p ** m > Q_LIMIT:
-        raise OutOfScopeError(f"field order {p**m} exceeds the supported limit {Q_LIMIT}")
+    # p >= 2, so p^m > Q_LIMIT once m reaches its bit length: no huge power
+    if m >= Q_LIMIT.bit_length() or p ** m > Q_LIMIT:
+        raise OutOfScopeError(f"field order {p}^{m} exceeds the supported limit {Q_LIMIT}")
     return Field(p, _scan_modulus(base, m), base)
 
 

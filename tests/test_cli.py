@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, exit codes, JSON payloads."""
 
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import sympair
 from sympair import cli, verify
 
 SPEC_15_11 = {"p": 5, "m": 1, "n": 15, "lambda": 1, "generator": [1, 4, 0, 4, 1]}
@@ -250,3 +256,29 @@ def test_boolean_defining_set_exponent_is_input_error(tmp_path, capsys):
     rc = cli.main(["analyze", spec])
     assert rc == cli.EXIT_INPUT == 2
     assert "exponent True" in capsys.readouterr().err
+
+
+HUGE_PRIME = 10**30 + 57  # a 31-digit prime, far above gf.Q_LIMIT
+
+
+def _limit_memory():  # a regression should fail the test, not fill the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "mds_3p_6", "--p", str(HUGE_PRIME)],
+    ["construct", "mds_n_6", "--q", str(HUGE_PRIME), "--n", "8"],
+    ["search", "--q", str(HUGE_PRIME), "--n", "8"],
+    ["analyze", {"p": HUGE_PRIME, "m": 1, "n": 4, "lambda": 1, "generator": [1]}],
+    ["analyze", {"p": 2, "m": 10**12, "n": 4, "lambda": 1, "generator": [1]}],
+], ids=["construct-3p6-p", "construct-n6-q", "search-q", "analyze-p", "analyze-m"])
+def test_huge_field_order_exits_2_quickly(tmp_path, argv):
+    argv = [_write_spec(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    src = str(pathlib.Path(sympair.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "sympair.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=_limit_memory)
+    assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+    assert "exceeds the supported limit" in proc.stderr

@@ -1,6 +1,6 @@
 """Constacyclic codes, the symbol-pair metric, and the distance engines."""
 
-import math
+import itertools
 import random
 
 import numpy as np
@@ -510,3 +510,72 @@ def test_field_tables_match_field_arithmetic():
                 assert add[a, b] == field.add(a, b)
                 assert mul[a, b] == field._mul_raw(a, b)
     assert code._field_tables(F9) is code._field_tables(gf.extension_field(3, 2))
+
+
+def _recorded_blocks(monkeypatch):
+    """Wrap the enumeration kernel; the list fills with (digits, cols, n)."""
+    blocks = []
+    kernel = code._encode_block
+
+    def recording(field, G, digits, cols):
+        blocks.append((digits.copy(), cols.copy(), G.shape[1]))
+        return kernel(field, G, digits, cols)
+
+    monkeypatch.setattr(code, "_encode_block", recording)
+    return blocks
+
+
+def _check_level_blocks(blocks, k, t, q):
+    """Every (support, value tuple) pair of level t once; no block too big."""
+    rows_by_support = {}
+    powers = (q - 1) ** np.arange(t)
+    for digits, cols, n in blocks:
+        assert cols.shape[0] * digits.shape[0] * n <= code._CELL_BUDGET
+        assert digits.shape[1] == cols.shape[1] == t
+        assert digits.min() >= 1 and digits.max() <= q - 1
+        index = (digits - 1) @ powers  # the value tuple's mixed-radix row
+        for support in map(tuple, cols):
+            rows_by_support.setdefault(support, []).append(index)
+    assert sorted(rows_by_support) == list(itertools.combinations(range(k), t))
+    for chunks in rows_by_support.values():
+        assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange((q - 1) ** t))
+
+
+def test_walker_blocks_cover_each_level_once_within_budget(monkeypatch):
+    binary = ConstacyclicCode.from_defining_set(F2, 31, [1, 3], expand=True)  # [31,21]
+    gf11 = ConstacyclicCode.from_defining_set(gf.prime_field(11), 10, [1, 2, 3, 4])  # [10,6]
+    cases = (
+        (binary, 5, "batched"),   # 20349 supports of one value row, several per block
+        (gf11, 5, "sliced"),      # 10^5 value rows per support, sliced
+    )
+    for c, t, shape in cases:
+        blocks = _recorded_blocks(monkeypatch)
+        q, k, n = c.field.q, c.k, c.n
+        R = (q - 1) ** t
+        code._scan(c.field, c.standard_form(), itertools.combinations(range(k), t),
+                   range(R), q - 1, 1, code._stat_min_weight)
+        assert (R > code._CELL_BUDGET // n) == (shape == "sliced")
+        assert len(blocks) > 1
+        assert all(len(cols) > 1 for _d, cols, _n in blocks) == (shape == "batched")
+        _check_level_blocks(blocks, k, t, q)
+
+
+def test_walker_exhaustive_scan_is_one_support(monkeypatch):
+    ternary = ConstacyclicCode.from_defining_set(F3, 13, [1, 3, 9])  # [13,10]
+    q, k = 3, ternary.k
+    calls = []
+    standard_form = ConstacyclicCode.standard_form
+    monkeypatch.setattr(ConstacyclicCode, "standard_form",
+                        lambda self: calls.append(1) or standard_form(self))
+    blocks = _recorded_blocks(monkeypatch)
+    result = code.min_hamming_distance(ternary, "exhaustive")
+    assert result.enumeration_count == q ** k - 1
+    assert len(calls) == 1 and len(blocks) == 3  # 59048 rows, 20164 per block
+    powers = q ** np.arange(k - 1, -1, -1)
+    seen = []
+    for digits, cols, n in blocks:
+        assert cols.shape[0] * digits.shape[0] * n <= code._CELL_BUDGET
+        assert cols.tolist() == [list(range(k))]
+        assert digits.min() >= 0 and digits.max() <= q - 1
+        seen.append(digits @ powers)
+    assert np.array_equal(np.concatenate(seen), np.arange(1, q ** k))
