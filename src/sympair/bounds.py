@@ -143,6 +143,8 @@ def radix_p_product(t: int, p: int) -> int:
     """P_t: the product of (digit + 1) over the base-p digits of t (P_0 = 1)."""
     if not isinstance(t, int) or t < 0:
         raise BadParameterError(f"t must be a nonnegative integer, got {t!r}")
+    if isinstance(p, int) and p > gf.Q_LIMIT:  # before trial division
+        raise OutOfScopeError(f"prime {p} exceeds the supported limit {gf.Q_LIMIT}")
     if not gf.is_prime(p):
         raise BadParameterError(f"p must be prime, got {p!r}")
     out = 1
@@ -248,12 +250,14 @@ def repeated_root_pair_floor(code: ConstacyclicCode, d_hamming: int) -> Repeated
     when d_H is not prime or neither condition window holds."""
     shape = repeated_root_shape(code)
     n, k = code.n, code.k
+    if not isinstance(d_hamming, int) or not 1 <= d_hamming <= n:  # before trial division
+        raise BadParameterError(f"d_H must be an integer in 1..{n}, got {d_hamming!r}")
     if not gf.is_prime(d_hamming):
         return RepeatedRootPairFloor(False, None, None)
     if shape.ell < d_hamming < n - k:
         return RepeatedRootPairFloor(True, 1, d_hamming + 3)
-    ell_binomial = poly.binomial(code.field, shape.ell, 1)
-    if (code.g % ell_binomial).is_zero() and 2 < d_hamming < n - k:
+    # x^l - 1 is square-free, so it divides g iff each of its factors does
+    if all(m >= 1 for _f, m in shape.factors) and 2 < d_hamming < n - k:
         return RepeatedRootPairFloor(True, 2, d_hamming + 3)
     return RepeatedRootPairFloor(False, None, None)
 

@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, *, strategy: bool = False) -> None:
         if strategy:
             p.add_argument("--strategy", default="auto",
-                           choices=["auto", "exhaustive", "bounded", "dependency", "castagnoli"],
+                           choices=["auto", "exhaustive", "bounded", "dependency"],
                            help="distance certification strategy (default: auto)")
         p.add_argument("--budget", type=int, default=None, metavar="N",
                        help="abort after N encodings and column reductions (exit code 3)")

@@ -9,7 +9,7 @@ Distance engines
 ``min_hamming_distance`` / ``min_pair_distance`` reduce both distances to
 minimum (pair) weight over nonzero codewords by linearity.  After their
 input checks both call one routine, ``_min_weight(..., for_pair)``, which
-dispatches among four strategies:
+dispatches among four methods (strategy ``bounded`` picks ``bounded_weight``):
 
 * ``exhaustive`` — scan all q^k - 1 nonzero codewords.
 * ``bounded_weight`` — row-reduce the generator matrix to identity on the
@@ -32,11 +32,10 @@ dispatches among four strategies:
   echelon basis of the prefix; a prefix is extended only while its cost is
   below D, and the first dependent support ends the search with value D.
   ``enumeration_count`` counts column reductions.
-* ``castagnoli`` — repeated-root cyclic codes only; delegates to the
-  residue-code product formula in :mod:`sympair.bounds` (Hamming only).
+* ``castagnoli`` — ``auto``'s choice for the Hamming side of repeated-root
+  cyclic codes: the residue-code product formula in :mod:`sympair.bounds`.
 
-``auto`` keeps ``castagnoli`` for the Hamming side of repeated-root codes.
-Otherwise it compares exact worst-case counts fixed before any work: the
+Otherwise ``auto`` compares exact worst-case counts fixed before any work: the
 message side costs q^k - 1 encodings when that is at most 4096 (and is then
 scanned exhaustively), else the bounded-weight level sizes up to the
 Singleton stop t = n - k; the parity side costs, per level D, the number of
@@ -69,6 +68,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -83,7 +83,6 @@ from .errors import (
     NotDivisorError,
     NotUnionOfCosetsError,
     OutOfScopeError,
-    StrategyInapplicableError,
     ZeroCodeError,
 )
 
@@ -96,20 +95,19 @@ _AUTO_EXHAUSTIVE_LIMIT = 1 << 12
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Outcome of a distance computation.
+    """Outcome of a distance computation: ``DistanceResult(value, method,
+    enumeration_count)``, where ``value`` is the exact distance.
 
-    ``value`` is the exact distance and ``certified`` records that the
-    method's soundness condition held.  An engine that runs out of budget
-    raises BudgetExceededError instead of returning, so ``is_lower_bound``
-    is always False here; it stays in the report schema, where budget-
-    exhausted partial reports set it.
+    An engine that runs out of budget raises instead of returning, so
+    ``certified`` and ``is_lower_bound`` are constants here; the report
+    schema keeps both keys, which budget-exhausted partial reports flip.
     """
 
     value: int
     method: str  # "exhaustive" | "bounded_weight" | "dependency" | "castagnoli"
-    certified: bool
     enumeration_count: int
-    is_lower_bound: bool = False
+    certified: ClassVar[bool] = True
+    is_lower_bound: ClassVar[bool] = False
 
     def to_dict(self) -> dict:
         return {
@@ -664,27 +662,16 @@ def _dependency_search(code: ConstacyclicCode, for_pair: bool,
             if root_cost < level:
                 visit(0, root_cost, reduce_by(cols[0], rest, 0, 0, root_cost))
         except _Dependent:
-            return DistanceResult(level, "dependency", True, count)
+            return DistanceResult(level, "dependency", count)
     # no proper support is dependent: every nonzero codeword has support Z_n
-    return DistanceResult(n, "dependency", True, count)
+    return DistanceResult(n, "dependency", count)
 
 
 def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) -> str:
-    if strategy in ("bounded", "bounded_weight"):
+    if strategy == "bounded":
         return "bounded_weight"
-    if strategy == "exhaustive":
-        return "exhaustive"
-    if strategy == "castagnoli":
-        if for_pair:
-            raise StrategyInapplicableError(
-                "the castagnoli strategy computes Hamming distance only")
-        if code.repeated_root_split is None:
-            raise StrategyInapplicableError(
-                f"castagnoli strategy needs a repeated-root cyclic code "
-                f"(lambda = 1, n = l * p^e with e >= 1 and l > 1), got {code!r}")
-        return "castagnoli"
-    if strategy == "dependency":
-        return "dependency"
+    if strategy in ("exhaustive", "dependency"):
+        return strategy
     if strategy == "auto":
         if not for_pair and code.repeated_root_split is not None:
             return "castagnoli"
@@ -701,7 +688,7 @@ def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) 
         return "dependency" if parity < message else side
     raise BadParameterError(
         f"unknown strategy {strategy!r}; "
-        f"expected auto, exhaustive, bounded, dependency or castagnoli")
+        f"expected auto, exhaustive, bounded or dependency")
 
 
 def _min_weight(code: ConstacyclicCode, strategy: str, budget: int | None,
@@ -716,7 +703,7 @@ def _min_weight(code: ConstacyclicCode, strategy: str, budget: int | None,
     if resolved == "castagnoli":
         from . import bounds
         value, _terms, enumerated = bounds.castagnoli_details(code, budget=budget)
-        return DistanceResult(value, "castagnoli", True, enumerated)
+        return DistanceResult(value, "castagnoli", enumerated)
     if resolved == "dependency":
         return _dependency_search(code, for_pair, budget)
 
@@ -733,7 +720,7 @@ def _min_weight(code: ConstacyclicCode, strategy: str, budget: int | None,
         if total >= 1 << 62:
             raise OutOfScopeError(f"q^k = {total + 1} overflows the exhaustive scanner")
         value = _scan(field, G, [range(k)], range(1, total + 1), q, 0, stat)
-        return DistanceResult(value, "exhaustive", True, total)
+        return DistanceResult(value, "exhaustive", total)
 
     count = 0
     for t in range(1, k + 1):
@@ -751,13 +738,13 @@ def _min_weight(code: ConstacyclicCode, strategy: str, budget: int | None,
                                q - 1, 1, stat))
         count += size
     assert best <= code.n, "a nonzero codeword must have been seen"
-    return DistanceResult(best, "bounded_weight", True, count)
+    return DistanceResult(best, "bounded_weight", count)
 
 
 def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,
                          budget: int | None = None) -> DistanceResult:
-    """Exact minimum Hamming distance (castagnoli spends ``budget`` on its
-    residue codes)."""
+    """Exact minimum Hamming distance (on repeated-root codes ``auto`` uses
+    the product formula and spends ``budget`` on its residue codes)."""
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
     return _min_weight(code, strategy, budget, for_pair=False)

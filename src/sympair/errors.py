@@ -68,10 +68,6 @@ class NotRepeatedRootError(SymPairError, ValueError):
     """The code does not have the repeated-root cyclic shape n = l * p^e, l > 1, lambda = 1."""
 
 
-class StrategyInapplicableError(SymPairError, ValueError):
-    """The requested distance strategy does not apply to this code."""
-
-
 class OutOfScopeError(SymPairError, ValueError):
     """Input is outside the supported range (e.g. field too large, d_H out of a bound's window)."""
 

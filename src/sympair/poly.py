@@ -58,12 +58,6 @@ class Poly:
     def x(cls, field: gf.Field) -> "Poly":
         return cls(field, (0, 1))
 
-    @classmethod
-    def monomial(cls, field: gf.Field, degree: int, coeff: int = 1) -> "Poly":
-        if degree < 0:
-            raise BadParameterError(f"monomial degree must be >= 0, got {degree}")
-        return cls(field, (0,) * degree + (coeff,))
-
     # ------------------------------------------------------------------
     # structure
 
@@ -238,10 +232,6 @@ class Poly:
         return Poly(F, out)
 
 
-def formal_derivative(f: Poly) -> Poly:
-    return f.derivative()
-
-
 def binomial(field: gf.Field, n: int, lam: int) -> Poly:
     """The polynomial x^n - lam."""
     if n < 1:
@@ -413,12 +403,6 @@ class Factorization:
     field: gf.Field
     unit: int
     factors: tuple[tuple[Poly, int], ...]
-
-    def expand(self) -> Poly:
-        out = Poly(self.field, (self.unit,))
-        for f, e in self.factors:
-            out = out * f ** e
-        return out
 
     def __iter__(self):
         return iter(self.factors)

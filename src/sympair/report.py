@@ -52,7 +52,7 @@ def code_from_spec_dict(data: dict) -> ConstacyclicCode:
     p = _require_int(data, "p")
     m = _require_int(data, "m")
     n = _require_int(data, "n")
-    field = gf.prime_field(p) if m == 1 else gf.extension_field(p, m)
+    field = gf.extension_field(p, m)
     has_gen = "generator" in data
     has_set = "defining_set" in data
     if has_gen == has_set:
@@ -177,11 +177,11 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
             budget: int | None = None) -> AnalysisReport:
     """Certify both distances, attach every applicable bound, set MDS flags.
 
-    ``strategy`` follows min_hamming_distance; "castagnoli" applies to the
-    Hamming side only, the pair side then falls back to "auto".  ``budget``
-    caps the total work (encodings and column reductions) of both distances
-    and, for a repeated-root code whose Hamming side did not use it, of the
-    product formula the bound report quotes; exceeding it raises
+    ``strategy`` ("auto", "exhaustive", "bounded" or "dependency") applies
+    to both distances.  ``budget`` caps the total work (encodings and column
+    reductions) of both distances and, for a repeated-root code whose
+    Hamming side did not use it, of the product formula the bound report
+    quotes; exceeding it raises
     BudgetExceededError with the partial report dict attached as ``partial``,
     whose ``budget_exhausted`` names the stage: "d_hamming", "d_pair" or
     "bounds".
@@ -191,10 +191,10 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
 
     def stages():  # lazy: whether "bounds" runs depends on the Hamming result
         yield "d_hamming", min_hamming_distance, strategy
-        yield "d_pair", min_pair_distance, "auto" if strategy == "castagnoli" else strategy
+        yield "d_pair", min_pair_distance, strategy
         if code.repeated_root_split is not None and found["d_hamming"].method != "castagnoli":
-            # the bound report quotes the product formula: run it within budget
-            yield "bounds", min_hamming_distance, "castagnoli"
+            # the bound report quotes the product formula ("auto" here): run it within budget
+            yield "bounds", min_hamming_distance, "auto"
 
     spent = 0
     for stage, engine, how in stages():
@@ -211,9 +211,9 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
         code=code,
         d_hamming=d_h,
         d_pair=d_p,
-        bounds=bound_report(code, d_hamming=d_h.value if d_h.certified else None),
-        mds_hamming=d_h.certified and code.k == code.n - d_h.value + 1,
-        mds_pair=d_p.certified and code.k == code.n - d_p.value + 2,
+        bounds=bound_report(code, d_hamming=d_h.value),
+        mds_hamming=code.k == code.n - d_h.value + 1,
+        mds_pair=code.k == code.n - d_p.value + 2,
         version=__version__,
         perf={
             "seconds": round(time.perf_counter() - t0, 6),

@@ -1,10 +1,15 @@
 """Distance bounds: pair Singleton, pair floors, residue products, BCH/HT."""
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import sympair
 from sympair import bounds, code, errors, gf, poly
 from sympair.code import ConstacyclicCode
 from sympair.poly import Poly
@@ -105,6 +110,24 @@ def test_radix_p_product_examples():
     assert bounds.radix_p_product(12, 5) == 9  # (2, 2) base 5 -> 3 * 3
     with pytest.raises(errors.BadParameterError):
         bounds.radix_p_product(-1, 5)
+
+
+@pytest.mark.parametrize("call, error", [
+    ("bounds.radix_p_product(3, HUGE)", "OutOfScopeError"),
+    ("bounds.repeated_root_pair_floor(sympair.mds_3p_6(5, 'bounds').code, HUGE)",
+     "BadParameterError"),
+], ids=["radix-p", "pair-floor-d_H"])
+def test_out_of_range_arguments_fail_fast(call, error):
+    # trial division on 10^18 + 9 takes minutes: the range checks come first
+    script = (f"import sympair\nfrom sympair import bounds, errors\nHUGE = 10**18 + 9\n"
+              f"try:\n    {call}\nexcept errors.{error}:\n    raise SystemExit(0)\n"
+              f"raise SystemExit(1)\n")
+    src = str(pathlib.Path(sympair.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_repeated_root_shape_examples():
@@ -213,6 +236,9 @@ def test_repeated_root_pair_floor_inapplicable_cases():
     assert not bounds.repeated_root_pair_floor(c, 4).applicable  # 4 is not prime
     # d_H = 13 puts the window out of reach for this shape
     assert not bounds.repeated_root_pair_floor(c, 13).applicable
+    for d_h in (0, 16, 3.0):  # d_H must be an integer in 1..n
+        with pytest.raises(errors.BadParameterError):
+            bounds.repeated_root_pair_floor(c, d_h)
     with pytest.raises(errors.NotRepeatedRootError):
         bounds.repeated_root_pair_floor(_example_24_3(), 19)
 

@@ -110,13 +110,12 @@ def test_dependency_strategy_flag(tmp_path, capsys):
         assert payload["d_hamming"]["method"] == "dependency"
         assert payload["d_pair"]["method"] == "dependency"
         assert (payload["d_hamming"]["value"], payload["d_pair"]["value"]) == (3, 6)
-    # castagnoli needs a repeated-root code; an unknown strategy is a usage error
-    rc, _ = _run(capsys, ["analyze", _write_spec(tmp_path, SPEC_24_3, "c24.json"),
-                          "--strategy", "castagnoli"])
-    assert rc == cli.EXIT_INPUT == 2
-    with pytest.raises(SystemExit) as exc_info:
-        cli.main(["analyze", spec, "--strategy", "parity"])
-    assert exc_info.value.code == 2
+    # an unknown strategy is a usage error; the product formula is a method
+    # that "auto" picks, not a strategy
+    for strategy in ("parity", "castagnoli"):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["analyze", spec, "--strategy", strategy])
+        assert exc_info.value.code == cli.EXIT_INPUT == 2
 
 
 def test_construct_round_trip_matches_analyze(tmp_path, capsys):

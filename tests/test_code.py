@@ -1,5 +1,6 @@
 """Constacyclic codes, the symbol-pair metric, and the distance engines."""
 
+import dataclasses
 import itertools
 import random
 
@@ -187,15 +188,27 @@ def test_min_hamming_distance_reference_codes():
     assert code.min_hamming_distance(_example_15_11()).value == 3
 
     c3 = _example_21_14()
-    cast = code.min_hamming_distance(c3, "castagnoli")
+    cast = code.min_hamming_distance(c3, "auto")
     assert (cast.value, cast.method, cast.certified) == (5, "castagnoli", True)
     found = code.min_hamming_distance(c3, "bounded")
     assert (found.value, found.certified, found.is_lower_bound) == (5, True, False)
 
 
-def test_castagnoli_strategy_rejects_simple_root():
-    with pytest.raises(errors.StrategyInapplicableError):
-        code.min_hamming_distance(_example_24_3(), "castagnoli")
+def test_method_names_are_not_strategies():
+    # "castagnoli" and "bounded_weight" are reported methods only
+    for strategy in ("castagnoli", "bounded_weight"):
+        for engine in (code.min_hamming_distance, code.min_pair_distance):
+            with pytest.raises(errors.BadParameterError, match="unknown strategy"):
+                engine(_example_15_11(), strategy)
+
+
+def test_distance_result_constants_and_key_order():
+    r = code.DistanceResult(5, "dependency", 42)
+    assert (r.certified, r.is_lower_bound) == (True, False)
+    assert list(r.to_dict().items()) == [
+        ("value", 5), ("method", "dependency"), ("certified", True),
+        ("enumeration_count", 42), ("is_lower_bound", False)]
+    assert [f.name for f in dataclasses.fields(r)] == ["value", "method", "enumeration_count"]
 
 
 def test_budget_exceeded_carries_progress():

@@ -151,10 +151,6 @@ def test_analyze_strategy_passthrough():
     rep = report.analyze(small, strategy="exhaustive")
     assert rep.d_hamming.method == "exhaustive"
     assert rep.d_pair.method == "exhaustive"
-    # castagnoli applies to the Hamming side; the pair engine falls back
-    rep2 = report.analyze(_example_15_11(), strategy="castagnoli")
-    assert rep2.d_hamming.method == "castagnoli"
-    assert rep2.d_pair.value == 6
 
 
 def test_analyze_budget_attaches_partial_report():
