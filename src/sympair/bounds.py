@@ -350,9 +350,13 @@ class BoundReport:
 
 
 def bound_report(code: ConstacyclicCode, d_hamming: int | None = None) -> BoundReport:
-    """Aggregate all applicable bounds for a code (k >= 1)."""
+    """Aggregate all applicable bounds for a code (k >= 1); ``d_hamming``,
+    when given, must be an integer in 1..n."""
     if code.k == 0:
         raise ZeroCodeError("bounds are reported for nonzero codes only")
+    if d_hamming is not None and (not isinstance(d_hamming, int)
+                                  or not 1 <= d_hamming <= code.n):
+        raise BadParameterError(f"d_H must be an integer in 1..{code.n}, got {d_hamming!r}")
     if d_hamming is not None and 2 <= d_hamming < code.n and code.k < code.n:
         floor = pair_distance_floor(code.n, code.k, d_hamming)
     else:

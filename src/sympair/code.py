@@ -15,11 +15,19 @@ dispatches among four methods (strategy ``bounded`` picks ``bounded_weight``):
 * ``bounded_weight`` — row-reduce the generator matrix to identity on the
   first k columns (always an information set: g has nonzero constant term)
   and enumerate messages level by level of increasing Hamming weight t.
-  A codeword of weight w has at most w nonzero information symbols, so
-  after level t - 1 every unseen codeword has Hamming weight >= t, and pair
-  weight >= t + 1 (pair weight >= weight + 1 for words that are neither
-  zero nor all-nonzero, and = n otherwise).  One rule serves both
-  distances: stop before level t once t + for_pair >= best weight seen.
+  Scalar multiples share a support, so level t takes only the messages
+  whose first nonzero value is 1, C(k, t) (q-1)^(t-1) of them, and
+  ``enumeration_count`` counts these scalar classes.  The constacyclic
+  shift keeps both weights and maps the window 0..k-1 onto every other
+  window of k cyclically consecutive positions, each an information set
+  too.  So after levels 1..t-1 a codeword with at most t - 1 nonzeros in
+  some window has a shift that was already seen, and an unseen codeword
+  has >= t nonzeros in all n windows; each position lies in k of them, so
+  its Hamming weight is >= ceil(n t / k) and its pair weight one more
+  (pair weight >= weight + 1 for words that are neither zero nor
+  all-nonzero, and = n otherwise).  One rule serves both distances: stop
+  before level t once min(n, ceil(n t / k) + for_pair) >= best weight
+  seen (Brouwer-Zimmermann for cyclic codes; Grassl 2006).
 * ``dependency`` — the parity side.  Pair weight depends only on the
   support S: f(S) = |S| + (circular runs of S) for S != Z_n, f(Z_n) = n,
   and adding a position never lowers f.  So d_p = min f(S) and d_H =
@@ -35,31 +43,47 @@ dispatches among four methods (strategy ``bounded`` picks ``bounded_weight``):
 * ``castagnoli`` — ``auto``'s choice for the Hamming side of repeated-root
   cyclic codes: the residue-code product formula in :mod:`sympair.bounds`.
 
-Otherwise ``auto`` compares exact worst-case counts fixed before any work: the
-message side costs q^k - 1 encodings when that is at most 4096 (and is then
-scanned exhaustively), else the bounded-weight level sizes up to the
-Singleton stop t = n - k; the parity side costs, per level D, the number of
-run-start-at-0 supports of at most n - k + 1 positions and cost <= D, up to
-the (pair) weight of g, which is itself a codeword.  The smaller count wins;
-ties go to the message side.
+Otherwise ``auto`` compares the two sides' worst-case costs, fixed before
+any work.  Both searches end by the level of g's own (pair) weight, top:
+g is a codeword, and x^(k-1) g a level-1 word.  The message side costs
+q^k - 1 encodings in one level when that is at most 4096 (and is then
+scanned exhaustively), else the normalised levels up to the window stop
+at top; it pays ``_LEVEL_US`` per level, ``_SYMBOL_US`` per encoded
+symbol (n per encoding) and, when the code has no standard form yet,
+``_STD_OP_US`` for each of its ~k^2 n field operations.  The parity side
+costs, per level D <= top, the number of run-start-at-0 supports of at
+most n - k + 1 positions and cost <= D, at ``_REDUCTION_US`` each.  The
+cheaper side wins; ties go to the message side.  The unit costs, in
+microseconds for prime / extension fields, were measured once on a
+2-core Linux machine (CPython 3.11.7, numpy 2.4.6, one BLAS thread) by
+timing both sides of each of the 4101 ``auto`` calls of the three
+``bench`` workloads (best of 3) and fitting each side's time to its
+counts by non-negative least squares on relative error: 34 (Hamming) and
+69 (pair) per level, charged 50; 0.040 / 0.069 per symbol; 0.18 / 0.34
+per standard-form operation, plus about 20 per call, left out.  A
+reduction took 1.5 / 2.4, but the search ends at its first dependent
+support, and on the calls with over 300 worst-case reductions it did a
+median two thirds of them, so a worst-case reduction is charged 1.0 /
+1.5.  Bare counts are not enough: on small codes the level and
+standard-form costs outweigh the encodings.
 
 Both message-side scans run through one walker, ``_scan``: a weight level
-is many supports with values 1..q-1, the exhaustive scan the one support
-of all k positions with values 0..q-1.  So a witness codeword, the argmin
-row, has one place to be kept for both (none is kept yet).  ``_blocks``
-cuts a scan into blocks of at most ``_CELL_BUDGET`` cells.  For prime
-fields a block is one batched float matmul, exact because every dot
-product is at most (q-1)^2 * t.  float32 is used while that stays below
-2^24, float64 otherwise: float32 halves the bytes a block moves, and on
-full-size blocks the float32 kernel ran 2-28% faster than float64 (one
-thread, numpy 2.4).  Extension fields use table-gather accumulation over
-int16 add/mul tables built once per field; the products come from the
-field's own exp/log tables.  ``_CELL_BUDGET`` caps the cells of one block,
-and so peak memory.  At 2^18 cells the ``low-rate`` benchmark workload
-peaks at 34.6 MB against 40.9 MB at 2^22, with the same median CPU time
-(0.369 s a pass; 4 alternating runs each, 2 cores, CPython 3.11, numpy
-2.4).  Levels are always scanned completely, in a fixed order, so results
-and enumeration counts are deterministic.
+is many supports with a leading value 1 and values 1..q-1 after it, the
+exhaustive scan the one support of all k positions with values 0..q-1.  So
+a witness codeword, the argmin row, has one place to be kept for both
+(none is kept yet).  ``_blocks`` cuts a scan into blocks of at most
+``_CELL_BUDGET`` cells.  For prime fields a block is one batched float
+matmul, exact because every dot product is at most (q-1)^2 * t.  float32
+is used while that stays below 2^24, float64 otherwise: float32 halves the
+bytes a block moves, and on full-size blocks the float32 kernel ran 2-28%
+faster than float64 (one thread, numpy 2.4).  Extension fields use
+table-gather accumulation over int16 add/mul tables built once per field;
+the products come from the field's own exp/log tables.  ``_CELL_BUDGET``
+caps the cells of one block, and so peak memory.  At 2^18 cells the
+``low-rate`` benchmark workload peaks at 34.6 MB against 40.9 MB at 2^22,
+with the same median CPU time (0.369 s a pass; 4 alternating runs each, 2
+cores, CPython 3.11, numpy 2.4).  Levels are always scanned completely, in
+a fixed order, so results and enumeration counts are deterministic.
 """
 
 from __future__ import annotations
@@ -91,6 +115,13 @@ _CELL_BUDGET = 1 << 18
 
 #: auto strategy uses exhaustive scan below this many codewords.
 _AUTO_EXHAUSTIVE_LIMIT = 1 << 12
+
+#: auto's unit costs in microseconds, (prime field, extension field), as
+#: measured in the module docstring.
+_LEVEL_US = 50               # fixed cost of one message-side level
+_SYMBOL_US = (0.04, 0.07)    # one encoded symbol (an encoding is n of them)
+_STD_OP_US = (0.18, 0.34)    # one of the k^2 n field operations of standard_form
+_REDUCTION_US = (1.0, 1.5)   # one worst-case column reduction
 
 
 @dataclass(frozen=True)
@@ -433,8 +464,16 @@ def divisor_codes(field: gf.Field, n: int, lam: int):
 # enumeration machinery
 
 def _level_size(q: int, k: int, t: int) -> int:
-    """Messages of Hamming weight t."""
-    return math.comb(k, t) * (q - 1) ** t
+    """Messages of Hamming weight t whose first nonzero value is 1: one per
+    scalar class."""
+    return math.comb(k, t) * (q - 1) ** (t - 1)
+
+
+def _window_floor(n: int, k: int, t: int, for_pair: bool) -> int:
+    """Least (pair) weight of a nonzero codeword not seen in levels 1..t-1:
+    it has >= t nonzeros in each of the n cyclic windows of k positions
+    (the module docstring gives the argument)."""
+    return min(n, -(-n * t // k) + for_pair)
 
 
 @functools.lru_cache(maxsize=None)
@@ -676,16 +715,23 @@ def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) 
         if not for_pair and code.repeated_root_split is not None:
             return "castagnoli"
         q, n, k = code.field.q, code.n, code.k
-        message = q ** k - 1
-        side = "exhaustive"
-        if message > _AUTO_EXHAUSTIVE_LIMIT:
-            message = sum(_level_size(q, k, t) for t in range(1, max(1, min(k, n - k)) + 1))
-            side = "bounded_weight"
-        # g is a codeword, so the search ends by the level of its own weight
+        ext = code.field.base is not None
+        # g is a codeword, and x^(k-1) g a level-1 word of the same weights,
+        # so either side's search ends by the level of g's own weight
         word = code.g.coeffs + (0,) * (n - len(code.g.coeffs))
         top = pair_weight(word) if for_pair else hamming_weight(word)
-        parity = sum(worst for cost, worst in _dependency_levels(n, k, for_pair) if cost <= top)
-        return "dependency" if parity < message else side
+        if q ** k - 1 <= _AUTO_EXHAUSTIVE_LIMIT:
+            side, levels, encodings = "exhaustive", 1, q ** k - 1
+        else:
+            side = "bounded_weight"
+            levels = max(t for t in range(1, k + 1)
+                         if t == 1 or _window_floor(n, k, t, for_pair) < top)
+            encodings = sum(_level_size(q, k, t) for t in range(1, levels + 1))
+        message = (_LEVEL_US * levels + _SYMBOL_US[ext] * n * encodings
+                   + (0 if code._std_form is not None else _STD_OP_US[ext] * k * k * n))
+        reductions = sum(worst for cost, worst in _dependency_levels(n, k, for_pair)
+                         if cost <= top)
+        return "dependency" if _REDUCTION_US[ext] * reductions < message else side
     raise BadParameterError(
         f"unknown strategy {strategy!r}; "
         f"expected auto, exhaustive, bounded or dependency")
@@ -695,9 +741,9 @@ def _min_weight(code: ConstacyclicCode, strategy: str, budget: int | None,
                 for_pair: bool) -> DistanceResult:
     """Minimum Hamming (or pair) weight over the nonzero codewords.
 
-    The bounded scan deepens through message-weight levels t and stops
-    before level t once t + for_pair reaches the smallest weight seen: every
-    unseen codeword then has Hamming weight >= t, hence pair weight >= t + 1.
+    The bounded scan deepens through message-weight levels t, one message
+    per scalar class, and stops before level t once the window floor
+    reaches the smallest weight seen (see ``_window_floor``).
     """
     resolved = _resolve_strategy(code, strategy, for_pair=for_pair)
     if resolved == "castagnoli":
@@ -724,16 +770,17 @@ def _min_weight(code: ConstacyclicCode, strategy: str, budget: int | None,
 
     count = 0
     for t in range(1, k + 1):
-        if t + for_pair >= best:
+        floor = _window_floor(code.n, k, t, for_pair)
+        if floor >= best:
             break
         size = _level_size(q, k, t)
-        _require_budget(count, size, budget,
-                        min(best, t + for_pair), best if best <= code.n else None,
-                        f"bounded-weight {name} scan")
-        R = (q - 1) ** t
+        _require_budget(count, size, budget, floor,  # floor < best here
+                        best if best <= code.n else None, f"bounded-weight {name} scan")
+        R = (q - 1) ** (t - 1)
         if R > 1 << 48:
             raise OutOfScopeError(
                 f"level {t} has {R} value tuples; set a budget to keep scans sane")
+        # rows below (q-1)^(t-1) have leading digit 0: the first value is 1
         best = min(best, _scan(field, G, itertools.combinations(range(k), t), range(R),
                                q - 1, 1, stat))
         count += size

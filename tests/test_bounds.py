@@ -343,6 +343,14 @@ def test_bound_report_serialization_keys():
     assert d["constacyclic_floor"] == {"applicable": True, "lower_bound": 5, "exact": False}
 
 
+def test_bound_report_rejects_out_of_range_distance():
+    # the same check on a simple-root and on a repeated-root code
+    for c in (_example_24_3(), _example_15_11()):
+        for d_h in (0, c.n + 1, 10**6, 3.0):
+            with pytest.raises(errors.BadParameterError, match="d_H must be an integer"):
+                bounds.bound_report(c, d_hamming=d_h)
+
+
 def test_bound_report_rejects_zero_code():
     zero = ConstacyclicCode.from_generator(F5, 15, 1, poly.binomial(F5, 15, 1))
     with pytest.raises(errors.ZeroCodeError):

@@ -194,6 +194,20 @@ def test_min_hamming_distance_reference_codes():
     assert (found.value, found.certified, found.is_lower_bound) == (5, True, False)
 
 
+def test_binary_quadratic_residue_code_47():
+    # g is the first degree-23 factor of x^47 - 1 (its defining set would need
+    # GF(2^23)); (11, 17) was confirmed once by an exhaustive scan of all
+    # 2^24 - 1 nonzero codewords
+    g = next(f for f, _m in poly.factor(poly.binomial(F2, 47, 1)).factors if f.degree == 23)
+    assert g.coeffs == (1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1)
+    qr = ConstacyclicCode.from_generator(F2, 47, 1, g)
+    assert qr.k == 24
+    dh = code.min_hamming_distance(qr)
+    assert (dh.value, dh.method, dh.enumeration_count) == (11, "bounded_weight", 55454)
+    dp = code.min_pair_distance(qr)
+    assert (dp.value, dp.method, dp.enumeration_count) == (17, "bounded_weight", 536154)
+
+
 def test_method_names_are_not_strategies():
     # "castagnoli" and "bounded_weight" are reported methods only
     for strategy in ("castagnoli", "bounded_weight"):
@@ -431,6 +445,9 @@ def test_dependency_matches_enumeration_on_constacyclic_corpus():
                         assert r.enumeration_count <= worst
                     assert dh.value == code.min_hamming_distance(c, reference).value, c
                     assert dp.value == code.min_pair_distance(c, reference).value, c
+                    if reference == "exhaustive":  # the window rule against the full scan
+                        assert dh.value == code.min_hamming_distance(c, "bounded").value, c
+                        assert dp.value == code.min_pair_distance(c, "bounded").value, c
                     assert code.min_pair_distance(c).value == dp.value
                     codes += 1
     assert codes == 770
@@ -504,11 +521,19 @@ def test_auto_picks_the_side_with_the_smaller_worst_case():
     low_rate = ConstacyclicCode.from_generator(
         F7, 24, 3, Poly(F7, [6, 0, 0, 5, 0, 0, 1, 0, 0, 5, 0, 0, 5, 0, 0, 6, 0, 0, 1]))
     assert code.min_pair_distance(low_rate).method == "bounded_weight"
-    # the Singleton ceiling alone would keep the message side here; the pair
-    # weight 10 of g itself caps the parity side's levels
+    # pair weight 10 of g caps both sides: 120 normalised messages in 2
+    # levels against 31128 worst-case reductions
     capped = ConstacyclicCode.from_generator(
         F5, 24, 2, Poly(F5, [4, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 1]))
-    assert code.min_pair_distance(capped).method == "dependency"
+    assert code.min_pair_distance(capped).method == "bounded_weight"
+    # 8328 messages of 16 symbols against 117 worst-case reductions
+    q7 = constructions.mds_n_6(7, 16, "bounds").code
+    assert code.min_pair_distance(q7).method == "dependency"
+    # the marginal case: 176 messages in 2 levels plus building the standard
+    # form (11^2 * 15 operations in GF(4)) against 538 worst-case reductions
+    q4 = constructions.mds_n_6(4, 15, "bounds").code
+    assert q4._std_form is None
+    assert code.min_hamming_distance(q4).method == "dependency"
     n6 = constructions.mds_n_6(7, 48, "bounds").code
     assert code.min_hamming_distance(n6).method == "dependency"
 
@@ -525,6 +550,62 @@ def test_field_tables_match_field_arithmetic():
     assert code._field_tables(F9) is code._field_tables(gf.extension_field(3, 2))
 
 
+def _bounded_levels(c, for_pair):
+    """Brute-force reference for the bounded scan, from every codeword:
+    (window floor, least weight among the codewords with 1..t-1 nonzeros on
+    the window 0..k-1 or None, normalised size) of each level t = 1..k."""
+    n, k, q = c.n, c.k, c.field.q
+    weight = code.pair_weight if for_pair else code.hamming_weight
+    by_window = {}
+    for word in c.codewords():
+        u = code.hamming_weight(word[:k])
+        if u:
+            by_window.setdefault(u, []).append(weight(word))
+    levels, best = [], None
+    for t in range(1, k + 1):
+        floor = min(n, -(-n * t // k) + for_pair)
+        size, rest = divmod(len(by_window[t]), q - 1)  # one message per scalar class
+        assert rest == 0 and size == code._level_size(q, k, t)
+        levels.append((floor, best, size))
+        best = min(by_window[t] + ([best] if best is not None else []))
+    return levels
+
+
+def test_bounded_budget_stops_at_the_window_floor():
+    cases = [
+        ConstacyclicCode.from_generator(F3, 13, 2, Poly(F3, [1, 0, 2, 1, 2, 0, 1])),  # pair: 3 levels
+        ConstacyclicCode.from_generator(F4, 9, 1, Poly(F4, [2, 3, 0, 3, 1])),
+        # k = 1, full support: the pair floor ceil(n t / k) + 1 is capped at n
+        ConstacyclicCode.from_generator(F5, 3, 2, Poly(F5, [4, 3, 1])),
+    ]
+    most = 0  # levels of the longest scan
+    for c in cases:
+        for distance, for_pair in ((code.min_hamming_distance, False),
+                                   (code.min_pair_distance, True)):
+            full = distance(c, "bounded")
+            done = scanned = 0  # normalised messages and levels finished so far
+            for floor, best, size in _bounded_levels(c, for_pair):
+                if best is not None and floor >= best:
+                    assert full.value == best  # the window rule stops here
+                    break
+                with pytest.raises(errors.BudgetExceededError) as exc_info:
+                    distance(c, "bounded", budget=done + size - 1)
+                exc = exc_info.value
+                assert exc.lower_bound == floor <= full.value
+                assert (exc.enumerated, exc.upper_bound) == (done, best)
+                done += size
+                scanned += 1
+            assert full.enumeration_count == done
+            assert distance(c, "bounded", budget=done) == full
+            most = max(most, scanned)
+    assert most == 3
+    k1 = cases[-1]
+    assert k1.k == 1 and code.min_pair_distance(k1, "exhaustive").value == k1.n == 3
+    with pytest.raises(errors.BudgetExceededError) as exc_info:
+        code.min_pair_distance(k1, "bounded", budget=0)
+    assert exc_info.value.lower_bound == k1.n
+
+
 def _recorded_blocks(monkeypatch):
     """Wrap the enumeration kernel; the list fills with (digits, cols, n)."""
     blocks = []
@@ -539,19 +620,21 @@ def _recorded_blocks(monkeypatch):
 
 
 def _check_level_blocks(blocks, k, t, q):
-    """Every (support, value tuple) pair of level t once; no block too big."""
+    """Every (support, normalised value tuple) pair of level t once: the
+    leading value is 1, the others 1..q-1; no block too big."""
     rows_by_support = {}
-    powers = (q - 1) ** np.arange(t)
+    powers = (q - 1) ** np.arange(t - 2, -1, -1)
     for digits, cols, n in blocks:
         assert cols.shape[0] * digits.shape[0] * n <= code._CELL_BUDGET
         assert digits.shape[1] == cols.shape[1] == t
+        assert (digits[:, 0] == 1).all()
         assert digits.min() >= 1 and digits.max() <= q - 1
-        index = (digits - 1) @ powers  # the value tuple's mixed-radix row
+        index = (digits[:, 1:] - 1) @ powers  # the value tuple's mixed-radix row
         for support in map(tuple, cols):
             rows_by_support.setdefault(support, []).append(index)
     assert sorted(rows_by_support) == list(itertools.combinations(range(k), t))
     for chunks in rows_by_support.values():
-        assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange((q - 1) ** t))
+        assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange((q - 1) ** (t - 1)))
 
 
 def test_walker_blocks_cover_each_level_once_within_budget(monkeypatch):
@@ -559,18 +642,26 @@ def test_walker_blocks_cover_each_level_once_within_budget(monkeypatch):
     gf11 = ConstacyclicCode.from_defining_set(gf.prime_field(11), 10, [1, 2, 3, 4])  # [10,6]
     cases = (
         (binary, 5, "batched"),   # 20349 supports of one value row, several per block
-        (gf11, 5, "sliced"),      # 10^5 value rows per support, sliced
+        (gf11, 6, "sliced"),      # 10^5 value rows on the one support, sliced
     )
     for c, t, shape in cases:
         blocks = _recorded_blocks(monkeypatch)
         q, k, n = c.field.q, c.k, c.n
-        R = (q - 1) ** t
+        R = (q - 1) ** (t - 1)
         code._scan(c.field, c.standard_form(), itertools.combinations(range(k), t),
                    range(R), q - 1, 1, code._stat_min_weight)
         assert (R > code._CELL_BUDGET // n) == (shape == "sliced")
         assert len(blocks) > 1
         assert all(len(cols) > 1 for _d, cols, _n in blocks) == (shape == "batched")
         _check_level_blocks(blocks, k, t, q)
+    # the levels of a real scan: this code's pair distance takes levels 1..3
+    ternary = ConstacyclicCode.from_generator(F3, 13, 2, Poly(F3, [1, 0, 2, 1, 2, 0, 1]))
+    blocks = _recorded_blocks(monkeypatch)
+    code.min_pair_distance(ternary, "bounded")
+    levels = sorted({digits.shape[1] for digits, _c, _n in blocks})
+    assert levels == [1, 2, 3]
+    for t in levels:
+        _check_level_blocks([b for b in blocks if b[0].shape[1] == t], ternary.k, t, 3)
 
 
 def test_walker_exhaustive_scan_is_one_support(monkeypatch):
