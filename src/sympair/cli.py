@@ -43,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sympair {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, strategy: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, *, strategy: bool = False,
+               out_help: str = "also write the JSON report to PATH") -> None:
         if strategy:
             p.add_argument("--strategy", default="auto",
                            choices=["auto", "exhaustive", "bounded", "dependency"],
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=None, metavar="N",
                        help="abort after N encodings and column reductions (exit code 3)")
         p.add_argument("--out", type=Path, default=None, metavar="PATH",
-                       help="also write the JSON report to PATH")
+                       help=out_help)
         p.add_argument("--json", action="store_true",
                        help="print JSON instead of the human summary")
 
@@ -64,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, help="prime for the 3p families")
     p.add_argument("--q", type=int, help="field size for mds_n_6")
     p.add_argument("--n", type=int, help="length for mds_n_6")
-    common(p, strategy=True)
+    common(p, strategy=True, out_help="also write the code spec to PATH (input for analyze)")
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--only", action="append", default=None, metavar="NAME",

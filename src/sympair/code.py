@@ -3,6 +3,10 @@
 Words are tuples of canonical integers.  A :class:`ConstacyclicCode` is
 determined by (field, n, lambda, g) with g a monic divisor of x^n - lambda;
 its codewords are the coefficient vectors of the degree-< n multiples of g.
+Column j of the parity-check matrix H is x^j mod g (rem <- x rem mod g,
+built once per code).  As x^-k = lambda^-1 x^(n-k) modulo x^n - lambda, the
+standard form is [I_k | -lambda^-1 R^T], R the last k columns of H
+(systematic encoding; MacWilliams-Sloane, ch. 7).
 
 Distance engines
 ----------------
@@ -12,9 +16,8 @@ input checks both call one routine, ``_min_weight(..., for_pair)``, which
 dispatches among four methods (strategy ``bounded`` picks ``bounded_weight``):
 
 * ``exhaustive`` — scan all q^k - 1 nonzero codewords.
-* ``bounded_weight`` — row-reduce the generator matrix to identity on the
-  first k columns (always an information set: g has nonzero constant term)
-  and enumerate messages level by level of increasing Hamming weight t.
+* ``bounded_weight`` — encode with the standard form and enumerate
+  messages level by level of increasing Hamming weight t.
   Scalar multiples share a support, so level t takes only the messages
   whose first nonzero value is 1, C(k, t) (q-1)^(t-1) of them, and
   ``enumeration_count`` counts these scalar classes.  The constacyclic
@@ -48,24 +51,23 @@ any work.  Both searches end by the level of g's own (pair) weight, top:
 g is a codeword, and x^(k-1) g a level-1 word.  The message side costs
 q^k - 1 encodings in one level when that is at most 4096 (and is then
 scanned exhaustively), else the normalised levels up to the window stop
-at top; it pays ``_LEVEL_US`` per level, ``_SYMBOL_US`` per encoded
-symbol (n per encoding) and, when the code has no standard form yet,
-``_STD_OP_US`` for each of its ~k^2 n field operations.  The parity side
-costs, per level D <= top, the number of run-start-at-0 supports of at
-most n - k + 1 positions and cost <= D, at ``_REDUCTION_US`` each.  The
-cheaper side wins; ties go to the message side.  The unit costs, in
+at top; it pays ``_LEVEL_US`` per level and ``_SYMBOL_US`` per encoded
+symbol (n per encoding), but not the standard form (about one level-1
+scan), so the choice reads only the code.  The parity side costs, per
+level D <= top, the number of run-start-at-0 supports of at most n - k + 1
+positions and cost <= D, at ``_REDUCTION_US`` each.  The cheaper side
+wins; ties go to the message side.  The unit costs, in
 microseconds for prime / extension fields, were measured once on a
 2-core Linux machine (CPython 3.11.7, numpy 2.4.6, one BLAS thread) by
 timing both sides of each of the 4101 ``auto`` calls of the three
 ``bench`` workloads (best of 3) and fitting each side's time to its
 counts by non-negative least squares on relative error: 34 (Hamming) and
-69 (pair) per level, charged 50; 0.040 / 0.069 per symbol; 0.18 / 0.34
-per standard-form operation, plus about 20 per call, left out.  A
+69 (pair) per level, charged 50; 0.040 / 0.069 per symbol.  A
 reduction took 1.5 / 2.4, but the search ends at its first dependent
 support, and on the calls with over 300 worst-case reductions it did a
 median two thirds of them, so a worst-case reduction is charged 1.0 /
-1.5.  Bare counts are not enough: on small codes the level and
-standard-form costs outweigh the encodings.
+1.5.  Bare counts are not enough: on small codes the level costs
+outweigh the encodings.
 
 Both message-side scans run through one walker, ``_scan``: a weight level
 is many supports with a leading value 1 and values 1..q-1 after it, the
@@ -120,7 +122,6 @@ _AUTO_EXHAUSTIVE_LIMIT = 1 << 12
 #: measured in the module docstring.
 _LEVEL_US = 50               # fixed cost of one message-side level
 _SYMBOL_US = (0.04, 0.07)    # one encoded symbol (an encoding is n of them)
-_STD_OP_US = (0.18, 0.34)    # one of the k^2 n field operations of standard_form
 _REDUCTION_US = (1.0, 1.5)   # one worst-case column reduction
 
 
@@ -247,8 +248,7 @@ class ConstacyclicCode:
             raise BadParameterError(f"generator must be monic, got {g}")
         if g.degree > n:
             raise NotDivisorError(f"deg g = {g.degree} exceeds the length {n}")
-        h, rem = divmod(poly.binomial(field, n, lam), g)
-        if not rem.is_zero():
+        if not (poly.binomial(field, n, lam) % g).is_zero():
             raise NotDivisorError(f"{g} does not divide x^{n} - {lam} over {field!r}")
         self.field = field
         self.n = n
@@ -256,9 +256,7 @@ class ConstacyclicCode:
         self.g = g
         self.k = n - g.degree
         self._defining_set = frozenset(defining_set) if defining_set is not None else None
-        self._check_poly = h
         self._std_form: np.ndarray | None = None
-        self._parity_check: np.ndarray | None = None
         # filled by bounds.repeated_root_shape / bounds.castagnoli_details
         self._shape = None
         self._castagnoli = None
@@ -334,10 +332,6 @@ class ConstacyclicCode:
             e += 1
         return (ell, e) if ell > 1 else None
 
-    def check_polynomial(self) -> poly.Poly:
-        """h = (x^n - lambda) / g."""
-        return self._check_poly
-
     def defining_set(self) -> frozenset[int] | None:
         """Exponent set of the code's roots (simple-root cyclic codes only).
 
@@ -396,48 +390,38 @@ class ConstacyclicCode:
             G[i, i:i + len(gc)] = gc
         return G
 
+    @functools.cached_property
+    def _residues(self) -> np.ndarray:
+        """Read-only (n-k) x n matrix whose column j is x^j mod g."""
+        F, r = self.field, self.n - self.k
+        rem, cols = [int(i == 0) for i in range(r)], []
+        for _ in range(self.n):
+            cols.append(rem)
+            *rem, top = [0] + rem  # x rem = rem + top x^(n-k), and x^(n-k) = x^(n-k) - g mod g
+            if top:
+                rem = [F.sub(a, F.mul(top, b)) for a, b in zip(rem, self.g.coeffs)]
+        M = np.array(cols, dtype=np.int64).T.copy()
+        M.flags.writeable = False
+        return M
+
     def parity_check_matrix(self) -> np.ndarray:
-        """(n-k) x n matrix H with G H^T = 0, built from the check polynomial
-        once per code (the array is read-only)."""
+        """Read-only (n-k) x n matrix H, column j = x^j mod g, built once per code."""
         if self.k == 0 or self.k == self.n:
             raise DegenerateCodeError(
                 f"parity-check matrix needs 1 <= k <= n-1, got k = {self.k}")
-        if self._parity_check is None:
-            n, k = self.n, self.k
-            # H[i, j] = h_{k+i-j}, zero outside 0..k: one gather from a padded row
-            padded = np.zeros(2 * n, dtype=np.int64)
-            hc = self.check_polynomial().coeffs
-            padded[n:n + len(hc)] = hc
-            H = padded[n + k + np.arange(n - k)[:, None] - np.arange(n)[None, :]]
-            H.flags.writeable = False
-            self._parity_check = H
-        return self._parity_check
+        return self._residues
 
     def standard_form(self) -> np.ndarray:
-        """Generator matrix row-reduced to the identity on the first k columns.
-
-        The first k columns always form an information set: g(0) != 0 (x does
-        not divide x^n - lambda), so the k x k leading block of the generator
-        matrix is triangular with nonzero diagonal.
-        """
+        """Read-only k x n generator matrix [I_k | -lambda^-1 R^T], R the
+        last k columns of the parity-check matrix (module docstring)."""
         if self._std_form is None:
             if self.k == 0:
                 raise DegenerateCodeError("the zero code has no standard form")
-            F = self.field
-            k, n = self.k, self.n
-            rows = [list(map(int, r)) for r in self.generator_matrix()]
-            for col in range(k):
-                piv = next(r for r in range(col, k) if rows[r][col] != 0)
-                rows[col], rows[piv] = rows[piv], rows[col]
-                inv = F.inv(rows[col][col])
-                rows[col] = [F.mul(inv, v) for v in rows[col]]
-                for r in range(k):
-                    if r != col and rows[r][col] != 0:
-                        c = rows[r][col]
-                        rows[r] = [F.sub(rows[r][j], F.mul(c, rows[col][j]))
-                                   for j in range(n)]
-            std = np.array(rows, dtype=np.int64)
-            assert (std[:, :k] == np.eye(k, dtype=np.int64)).all()
+            F, n, k = self.field, self.n, self.k
+            c = F.neg(F.inv(self.lam))
+            tail = [[F.mul(c, v) for v in col] for col in self._residues[:, n - k:].T.tolist()]
+            std = np.hstack([np.eye(k, dtype=np.int64), np.array(tail, dtype=np.int64)])
+            std.flags.writeable = False
             self._std_form = std
         return self._std_form
 
@@ -638,25 +622,32 @@ class _Dependent(Exception):
 
 def _dependency_search(code: ConstacyclicCode, for_pair: bool,
                        budget: int | None) -> DistanceResult:
-    """Minimum cost of a support whose parity-check columns are dependent."""
+    """Minimum cost of a support whose parity-check columns are dependent.  The
+    count depends only on which supports are dependent: the same for every H."""
     n, k = code.n, code.k
     F = code.field
-    H = code.parity_check_matrix() if k < n else np.zeros((0, n), dtype=np.int64)
-    cols = H.T.tolist()
+    cols = code._residues.T.tolist()
+    # w - c u over u's (index, value) nonzeros: H's unit columns keep many sparse
     if F.base is None:
         p = F.q
 
-        def axpy(w, c, u):  # w - c * u
-            return [(a - c * b) % p for a, b in zip(w, u)]
+        def axpy(w, c, nonzeros):
+            w = w[:]
+            for i, b in nonzeros:
+                w[i] = (w[i] - c * b) % p
+            return w
     else:
         add_t, mul_t = _field_tables(F)
         add_rows = add_t.tolist()
         neg = [row.index(0) for row in add_rows]
         negmul_rows = [[neg[v] for v in row] for row in mul_t.tolist()]
 
-        def axpy(w, c, u):
+        def axpy(w, c, nonzeros):
             nm = negmul_rows[c]
-            return [add_rows[a][nm[b]] for a, b in zip(w, u)]
+            w = w[:]
+            for i, b in nonzeros:
+                w[i] = add_rows[w[i]][nm[b]]
+            return w
 
     count = 0
 
@@ -665,8 +656,9 @@ def _dependency_search(code: ConstacyclicCode, for_pair: bool,
         position j (column u, reduced against the prefix) to the prefix of
         cost ``cost``; returns them reduced against the longer prefix."""
         nonlocal count
-        piv = next(i for i, a in enumerate(u) if a)
-        inv = F.inv(u[piv])
+        nonzeros = [(i, a) for i, a in enumerate(u) if a]
+        piv, lead = nonzeros[0]
+        inv = F.inv(lead)
         out = []
         for j2, w in itertools.islice(cand, start, None):
             cost2 = cost + (2 if for_pair and j2 != j + 1 else 1)
@@ -675,7 +667,7 @@ def _dependency_search(code: ConstacyclicCode, for_pair: bool,
             count += 1
             a = w[piv]
             if a:
-                w = axpy(w, F.mul(a, inv), u)
+                w = axpy(w, F.mul(a, inv), nonzeros)
                 if not any(w):
                     assert cost2 == level, "lower levels were scanned completely"
                     raise _Dependent
@@ -727,8 +719,7 @@ def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) 
             levels = max(t for t in range(1, k + 1)
                          if t == 1 or _window_floor(n, k, t, for_pair) < top)
             encodings = sum(_level_size(q, k, t) for t in range(1, levels + 1))
-        message = (_LEVEL_US * levels + _SYMBOL_US[ext] * n * encodings
-                   + (0 if code._std_form is not None else _STD_OP_US[ext] * k * k * n))
+        message = _LEVEL_US * levels + _SYMBOL_US[ext] * n * encodings
         reductions = sum(worst for cost, worst in _dependency_levels(n, k, for_pair)
                          if cost <= top)
         return "dependency" if _REDUCTION_US[ext] * reductions < message else side

@@ -24,11 +24,15 @@ from .errors import (
     DivisionByZeroError,
     FieldMismatchError,
     NotCoprimeError,
+    OutOfScopeError,
     ZeroPolynomialError,
 )
 
 #: Degree of the zero polynomial.
 NEG_INF = float("-inf")
+
+#: Largest supported length n: x^n - lambda and the cosets mod n take O(n) memory.
+N_LIMIT = 1 << 16
 
 
 class Poly:
@@ -236,6 +240,8 @@ def binomial(field: gf.Field, n: int, lam: int) -> Poly:
     """The polynomial x^n - lam."""
     if n < 1:
         raise BadParameterError(f"exponent must be >= 1, got {n}")
+    if n > N_LIMIT:
+        raise OutOfScopeError(f"length {n} exceeds the supported limit {N_LIMIT}")
     coeffs = [field.neg(field.check(lam))] + [0] * (n - 1) + [1]
     return Poly(field, coeffs)
 
@@ -313,6 +319,8 @@ def cyclotomic_cosets(n: int, q: int) -> list[CyclotomicCoset]:
         raise BadParameterError(f"field size q must be an integer >= 2, got {q!r}")
     if math.gcd(n, q) != 1:
         raise NotCoprimeError(f"gcd({n}, {q}) = {math.gcd(n, q)} != 1")
+    if n > N_LIMIT:
+        raise OutOfScopeError(f"modulus {n} exceeds the supported limit {N_LIMIT}")
     seen = [False] * n
     out = []
     for start in range(n):

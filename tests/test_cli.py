@@ -270,7 +270,12 @@ def _limit_memory():  # a regression should fail the test, not fill the machine
     ["search", "--q", str(HUGE_PRIME), "--n", "8"],
     ["analyze", {"p": HUGE_PRIME, "m": 1, "n": 4, "lambda": 1, "generator": [1]}],
     ["analyze", {"p": 2, "m": 10**12, "n": 4, "lambda": 1, "generator": [1]}],
-], ids=["construct-3p6-p", "construct-n6-q", "search-q", "analyze-p", "analyze-m"])
+    # huge lengths: x^n - lambda and the cyclotomic cosets would take O(n) memory
+    ["construct", "mds_n_6", "--q", "65536", "--n", str(2**32 - 1)],
+    ["search", "--q", "2", "--n", str(10**12)],
+    ["analyze", {"p": 2, "m": 1, "n": 10**12, "lambda": 1, "generator": [1, 1]}],
+], ids=["construct-3p6-p", "construct-n6-q", "search-q", "analyze-p", "analyze-m",
+        "construct-n6-n", "search-n", "analyze-n"])
 def test_huge_field_order_exits_2_quickly(tmp_path, argv):
     argv = [_write_spec(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     src = str(pathlib.Path(sympair.__file__).parents[1])

@@ -35,6 +35,13 @@ def _example_24_3():
     return ConstacyclicCode.from_defining_set(F5, 24, set(range(24)) - {0, 19, 23})
 
 
+def _field_dot(field, a, b):
+    total = 0
+    for x, y in zip(a, b):
+        total = field.add(total, field.mul(x, y))
+    return total
+
+
 WITNESS_21 = (6, 4, 1, 1, 0, 0, 0, 0, 0, 0, 3, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
@@ -300,10 +307,7 @@ def test_parity_check_matrix_is_built_once_and_read_only():
         assert H.shape == (c.n - c.k, c.n)
         for g_row in c.generator_matrix().tolist():
             for h_row in H.tolist():
-                total = 0
-                for a, b in zip(g_row, h_row):
-                    total = F.add(total, F.mul(a, b))
-                assert total == 0
+                assert _field_dot(F, g_row, h_row) == 0
 
 
 def test_generator_matrix_rows_are_shifts_of_g():
@@ -449,6 +453,15 @@ def test_dependency_matches_enumeration_on_constacyclic_corpus():
                         assert dh.value == code.min_hamming_distance(c, "bounded").value, c
                         assert dp.value == code.min_pair_distance(c, "bounded").value, c
                     assert code.min_pair_distance(c).value == dp.value
+                    S = c.standard_form()
+                    assert np.array_equal(S[:, :c.k], np.eye(c.k, dtype=S.dtype)), c
+                    assert all(c.is_member(row) for row in S.tolist()), c
+                    if c.k < n:  # H has full rank: its first n - k columns are x^j mod g = x^j
+                        H = c.parity_check_matrix()
+                        assert H.shape == (n - c.k, n)
+                        assert np.array_equal(H[:, :n - c.k], np.eye(n - c.k, dtype=H.dtype))
+                        assert all(_field_dot(field, h, row) == 0
+                                   for h in H.tolist() for row in S.tolist()), c
                     codes += 1
     assert codes == 770
 
@@ -529,11 +542,12 @@ def test_auto_picks_the_side_with_the_smaller_worst_case():
     # 8328 messages of 16 symbols against 117 worst-case reductions
     q7 = constructions.mds_n_6(7, 16, "bounds").code
     assert code.min_pair_distance(q7).method == "dependency"
-    # the marginal case: 176 messages in 2 levels plus building the standard
-    # form (11^2 * 15 operations in GF(4)) against 538 worst-case reductions
-    q4 = constructions.mds_n_6(4, 15, "bounds").code
-    assert q4._std_form is None
-    assert code.min_hamming_distance(q4).method == "dependency"
+    # the marginal case: 176 messages in 2 levels against 538 worst-case
+    # reductions; the choice reads only the code, not what was built on it
+    fresh, built = (constructions.mds_n_6(4, 15, "bounds").code for _ in range(2))
+    built.standard_form()
+    assert code.min_hamming_distance(fresh).method == "bounded_weight"
+    assert code.min_hamming_distance(built).method == "bounded_weight"
     n6 = constructions.mds_n_6(7, 48, "bounds").code
     assert code.min_hamming_distance(n6).method == "dependency"
 
