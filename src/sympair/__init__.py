@@ -15,7 +15,6 @@ from ._version import __version__
 from .errors import BudgetExceededError, SymPairError
 from . import errors
 from .gf import (
-    Element,
     Field,
     extension_field,
     nth_roots_of_unity,
@@ -96,7 +95,7 @@ __all__ = [
     # errors
     "errors", "SymPairError", "BudgetExceededError",
     # fields
-    "Field", "Element", "prime_field", "extension_field", "primitive_element",
+    "Field", "prime_field", "extension_field", "primitive_element",
     "nth_roots_of_unity", "primitive_root_of_unity", "primitive_cube_root",
     # polynomials
     "Poly", "Factorization", "CyclotomicCoset", "binomial", "factor",

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import gf, poly
-from .code import ConstacyclicCode, min_hamming_distance
+from .code import ConstacyclicCode, check_budget, min_hamming_distance
 from .errors import (
     BadParameterError,
     BudgetExceededError,
@@ -191,6 +191,7 @@ def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
     The result is kept on the code object, so later calls within budget
     reuse it.
     """
+    check_budget(budget)
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
     if code._castagnoli is not None and (budget is None or code._castagnoli[2] <= budget):

@@ -155,16 +155,8 @@ class DistanceResult:
 # words and the pair metric
 
 def as_word(field: gf.Field, symbols) -> tuple[int, ...]:
-    """Coerce a sequence of ints/Elements into a canonical-integer word."""
-    out = []
-    for s in symbols:
-        if isinstance(s, gf.Element):
-            if s.field != field:
-                raise BadParameterError(f"symbol {s!r} does not belong to {field!r}")
-            out.append(s.value)
-        else:
-            out.append(field.check(s))
-    return tuple(out)
+    """A sequence of canonical integers of ``field`` as a word (validated)."""
+    return tuple(field.check(s) for s in symbols)
 
 
 def hamming_weight(word) -> int:
@@ -223,10 +215,16 @@ def pair_distance(a, b) -> int:
 
 def constacyclic_shift(field: gf.Field, lam: int, word) -> tuple[int, ...]:
     """tau_lambda: (x_0, ..., x_{n-1}) -> (lambda * x_{n-1}, x_0, ..., x_{n-2})."""
+    _check_lambda(field, lam)
     word = as_word(field, word)
     if not word:
         return word
-    return (field.mul(field.check(lam), word[-1]),) + word[:-1]
+    return (field.mul(lam, word[-1]),) + word[:-1]
+
+
+def _check_lambda(field: gf.Field, lam: int) -> None:
+    if field.check(lam) == 0:
+        raise BadParameterError("lambda must be nonzero")
 
 
 # ----------------------------------------------------------------------
@@ -239,9 +237,7 @@ class ConstacyclicCode:
                  defining_set: frozenset[int] | None = None):
         if not isinstance(n, int) or n < 1:
             raise BadParameterError(f"length must be a positive integer, got {n!r}")
-        field.check(lam)
-        if lam == 0:
-            raise BadParameterError("lambda must be nonzero")
+        _check_lambda(field, lam)
         if not isinstance(g, poly.Poly) or g.field != field:
             raise BadParameterError(f"generator must be a Poly over {field!r}")
         if not g.is_monic():
@@ -491,6 +487,17 @@ def _field_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+@functools.lru_cache(maxsize=None)
+def _row_tables(field: gf.Field) -> tuple[tuple, tuple]:
+    """``_field_tables`` as nested tuples for scalar updates, built once per
+    field: addition rows, and product rows with each entry negated."""
+    add_t, mul_t = _field_tables(field)
+    add_rows = add_t.tolist()
+    neg = [row.index(0) for row in add_rows]
+    return (tuple(map(tuple, add_rows)),
+            tuple(tuple(neg[v] for v in row) for row in mul_t.tolist()))
+
+
 def _encode_block(field: gf.Field, G: np.ndarray, digits: np.ndarray,
                   cols: np.ndarray) -> np.ndarray:
     """Nonzero mask of the codewords for a block of messages.
@@ -561,6 +568,13 @@ def _stat_min_pair_weight(nz: np.ndarray, prune_above: int) -> int:
     starts = rows & ~np.roll(rows, 1, axis=1)
     wp = wf[mask] + starts.sum(axis=1, dtype=np.int16)
     return int(wp.min())
+
+
+def check_budget(value, name: str = "budget", least: int = 0) -> None:
+    """Validate a work cap: None, or an int (not a bool) >= ``least``."""
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool)
+                              or value < least):
+        raise BadParameterError(f"{name} must be an integer >= {least} when given, got {value!r}")
 
 
 def _require_budget(used: int, next_cost: int, budget: int | None,
@@ -637,10 +651,7 @@ def _dependency_search(code: ConstacyclicCode, for_pair: bool,
                 w[i] = (w[i] - c * b) % p
             return w
     else:
-        add_t, mul_t = _field_tables(F)
-        add_rows = add_t.tolist()
-        neg = [row.index(0) for row in add_rows]
-        negmul_rows = [[neg[v] for v in row] for row in mul_t.tolist()]
+        add_rows, negmul_rows = _row_tables(F)
 
         def axpy(w, c, nonzeros):
             nm = negmul_rows[c]
@@ -783,6 +794,7 @@ def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,
                          budget: int | None = None) -> DistanceResult:
     """Exact minimum Hamming distance (on repeated-root codes ``auto`` uses
     the product formula and spends ``budget`` on its residue codes)."""
+    check_budget(budget)
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
     return _min_weight(code, strategy, budget, for_pair=False)
@@ -791,6 +803,7 @@ def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,
 def min_pair_distance(code: ConstacyclicCode, strategy: str = "auto", *,
                       budget: int | None = None) -> DistanceResult:
     """Exact minimum pair distance (= min pair weight over nonzero codewords)."""
+    check_budget(budget)
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum pair distance")
     if code.n < 2:

@@ -30,6 +30,7 @@ from .bounds import hartmann_tzeng_bound
 from .code import (
     ConstacyclicCode,
     DistanceResult,
+    check_budget,
     divisor_codes,
     min_hamming_distance,
     min_pair_distance,
@@ -91,7 +92,8 @@ class ConstructionResult:
         return self.code.k == self.code.n - self.d_pair.value + 2
 
 
-def _require_certify(certify: str) -> None:
+def _require_options(certify: str, budget: int | None) -> None:
+    check_budget(budget)
     if certify not in CERTIFY_LEVELS:
         raise BadParameterError(f"certify must be one of {CERTIFY_LEVELS}, got {certify!r}")
 
@@ -135,7 +137,7 @@ def _certified(code: ConstacyclicCode, spec: FamilySpec, certify: str,
 def mds_3p_7(p: int, certify: str = "full", *,
              budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-5, 4] cyclic code over GF(p) with pair distance 7, p >= 5 prime."""
-    _require_certify(certify)
+    _require_options(certify, budget)
     _require_odd_prime_at_least(p, 5)
     field = gf.prime_field(p)
     x = poly.Poly.x(field)
@@ -149,12 +151,12 @@ def mds_3p_7(p: int, certify: str = "full", *,
 def mds_3p_8(p: int, certify: str = "full", *,
              budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-6, 4] cyclic code over GF(p) with pair distance 8, p = 1 mod 3."""
-    _require_certify(certify)
+    _require_options(certify, budget)
     _require_odd_prime_at_least(p, 5)
     if p % 3 != 1:
         raise BadParameterError(f"p must be 1 mod 3 so cube roots of unity exist, got {p}")
     field = gf.prime_field(p)
-    omega = gf.primitive_cube_root(p).value
+    omega = gf.primitive_cube_root(p)
     x = poly.Poly.x(field)
     one = poly.Poly.one(field)
     g = ((x - one) ** 3
@@ -168,7 +170,7 @@ def mds_3p_8(p: int, certify: str = "full", *,
 def mds_3p_6(p: int, certify: str = "full", *,
              budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-4, 3] cyclic code over GF(p) with pair distance 6, p >= 5 prime."""
-    _require_certify(certify)
+    _require_options(certify, budget)
     _require_odd_prime_at_least(p, 5)
     field = gf.prime_field(p)
     x = poly.Poly.x(field)
@@ -183,7 +185,7 @@ def mds_n_6(q: int, n: int, certify: str = "full", *,
             budget: int | None = None) -> ConstructionResult:
     """[n, n-4, 4] cyclic code over GF(q) with pair distance 6, from the
     defining set C_0 u C_1 u C_{q+1} mod n, where n | q^2 - 1 and n >= q + 4."""
-    _require_certify(certify)
+    _require_options(certify, budget)
     if not isinstance(q, int) or q < 3:
         raise BadParameterError(f"q must be a prime power >= 3, got {q!r}")
     field = _field_of_order(q)
@@ -239,8 +241,8 @@ def search_optimal_cyclic(q: int, n: int, max_codes: int | None = None,
     reductions) across the whole search; running out raises
     BudgetExceededError with the finished entries attached.
     """
-    if max_codes is not None and max_codes < 1:
-        raise BadParameterError(f"max_codes must be positive when given, got {max_codes!r}")
+    check_budget(budget)
+    check_budget(max_codes, "max_codes", least=1)
     entries: list[SearchEntry] = []
     spent = 0
 

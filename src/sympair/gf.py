@@ -1,12 +1,11 @@
 """Exact arithmetic in prime and extension finite fields.
 
 A :class:`Field` knows its characteristic, modulus and (lazily built)
-exp/log tables.  Elements are represented by their *canonical integers*:
-the value ``sum(c_i * p**i)`` of the coordinate vector ``(c_0, ..., c_{m-1})``
-in the power basis of the modulus root.  All ``Field`` methods take and
-return these plain integers, which is what the heavy enumeration machinery
-works with; the :class:`Element` wrapper adds operator sugar on top for
-interactive use and the demo scripts.
+exp/log tables.  Canonical integers are the only element type: an element
+is the value ``sum(c_i * p**i)`` of its coordinate vector
+``(c_0, ..., c_{m-1})`` in the power basis of the modulus root, and every
+``Field`` method and distinguished-element function takes and returns these
+plain ints.
 
 Extension fields GF(p^m) use the lexicographically smallest monic
 irreducible modulus, where candidates are ordered by ascending canonical
@@ -23,7 +22,8 @@ So at every tower level a canonical integer is a base-p digit vector over
 GF(p): addition, negation and subtraction work digitwise mod p (XOR when
 p = 2).  Multiplication of an extension or tower field goes through exp/log
 tables of its primitive element ``gen``, the smallest candidate that passes
-the order test.  a -> a * gen is GF(p)-linear on the digits, so the tables
+the order test (:func:`primitive_element`, the one generator search for
+every field).  a -> a * gen is GF(p)-linear on the digits, so the tables
 cost m schoolbook products (the images of the basis elements p^i), one
 matmul mod p over all q digit vectors giving ``step[a] = a * gen``, and a
 walk of the orbit of 1 through ``step``.
@@ -33,14 +33,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
 
 import numpy as np
 
 from .errors import (
     BadParameterError,
     DivisionByZeroError,
-    FieldMismatchError,
     NoCubeRootError,
     NoSuchRootsError,
     NotPrimeError,
@@ -134,23 +132,6 @@ class Field:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __iter__(self) -> Iterator["Element"]:
-        return (Element(self, v) for v in range(self.q))
-
-    @property
-    def zero(self) -> "Element":
-        return Element(self, 0)
-
-    @property
-    def one(self) -> "Element":
-        return Element(self, 1)
-
-    def element(self, value: int) -> "Element":
-        """Wrap a canonical integer as an Element (validating its range)."""
-        return Element(self, self.check(value))
-
-    __call__ = element
 
     def check(self, a: int) -> int:
         """Validate a canonical integer and return it unchanged."""
@@ -254,30 +235,12 @@ class Field:
         return self._unvec(prod[:r])
 
     def _ensure_tables(self) -> None:
-        """Build exp/log tables for extension fields (prime fields never need them).
-
-        The generator search uses table-free products; the tables themselves
-        come from one linear map over all elements (module docstring).
-        """
+        """Build exp/log tables for extension fields (prime fields never need
+        them) from one linear map over all elements (module docstring)."""
         if self._exp is not None or self.base is None:
             return
         qm1 = self.q - 1
-
-        def raw_pow(a: int, e: int) -> int:
-            result = 1
-            while e:
-                if e & 1:
-                    result = self._mul_raw(result, a)
-                a = self._mul_raw(a, a)
-                e >>= 1
-            return result
-
-        gen = None
-        for cand in range(1, self.q):
-            if all(raw_pow(cand, qm1 // r) != 1 for r in prime_factors(qm1)):
-                gen = cand
-                break
-        assert gen is not None, "multiplicative group of a finite field is cyclic"
+        gen = primitive_element(self)
         # a -> a * gen is GF(p)-linear on base-p digits: map every element
         # at once through the images of the basis elements p^i
         p, m = self.p, self.m
@@ -294,7 +257,7 @@ class Field:
             log[acc] = i
             acc = step[acc]
         assert acc == 1, "generator order mismatch"
-        self._exp, self._log, self._gen = exp, log, gen
+        self._exp, self._log = exp, log
 
     def mul(self, a: int, b: int) -> int:
         if self.base is None:
@@ -334,82 +297,6 @@ class Field:
             while o % r == 0 and self.pow(a, o // r) == 1:
                 o //= r
         return o
-
-
-class Element:
-    """A field element: a canonical integer bound to its field, with operators."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        self.field = field
-        self.value = field.check(value)
-
-    def _coerce(self, other: object) -> int:
-        if isinstance(other, Element):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot combine elements of {self.field!r} and {other.field!r}")
-            return other.value
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Element(self.field, self.field.add(self.value, v))
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Element(self.field, self.field.sub(self.value, v))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Element(self.field, self.field.mul(self.value, v))
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Element(self.field, self.field.div(self.value, v))
-
-    def __pow__(self, e: int):
-        return Element(self.field, self.field.pow(self.value, e))
-
-    def __neg__(self):
-        return Element(self.field, self.field.neg(self.value))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Element):
-            return self.field == other.field and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}:{self.value}"
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Base-p coordinates (little-endian, length m)."""
-        return self.field.coords(self.value)
-
-    def order(self) -> int:
-        return self.field.order(self.value)
-
-    def inverse(self) -> "Element":
-        return Element(self.field, self.field.inv(self.value))
 
 
 # ----------------------------------------------------------------------
@@ -479,22 +366,30 @@ def _scan_modulus(base: Field, r: int) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 # distinguished elements
 
-def primitive_element(field: Field) -> Element:
-    """The smallest canonical element of multiplicative order q - 1."""
-    if field._gen is not None:
-        return Element(field, field._gen)
-    if field.base is not None:
-        field._ensure_tables()
-        return Element(field, field._gen)
-    qm1 = field.q - 1
-    for cand in range(1, field.q):
-        if all(field.pow(cand, qm1 // r) != 1 for r in prime_factors(qm1)):
-            field._gen = cand
-            return Element(field, cand)
-    raise AssertionError("multiplicative group of a finite field is cyclic")  # unreachable
+def primitive_element(field: Field) -> int:
+    """The smallest canonical element of multiplicative order q - 1.
+
+    One search for every field, prime or not, kept on the field: it uses
+    table-free products, as the exp/log tables start from its result.
+    """
+    if field._gen is None:
+        qm1 = field.q - 1
+
+        def raw_pow(a: int, e: int) -> int:
+            result = 1
+            while e:
+                if e & 1:
+                    result = field._mul_raw(result, a)
+                a = field._mul_raw(a, a)
+                e >>= 1
+            return result
+
+        field._gen = next(cand for cand in range(1, field.q)
+                          if all(raw_pow(cand, qm1 // r) != 1 for r in prime_factors(qm1)))
+    return field._gen
 
 
-def nth_roots_of_unity(field: Field, n: int) -> list[Element]:
+def nth_roots_of_unity(field: Field, n: int) -> list[int]:
     """All n-th roots of unity, sorted by canonical value.
 
     Requires n | q - 1 (so the roots exist and are distinct); raises
@@ -505,7 +400,7 @@ def nth_roots_of_unity(field: Field, n: int) -> list[Element]:
     if (field.q - 1) % n != 0:
         raise NoSuchRootsError(
             f"{field!r} has no primitive {n}-th root of unity ({n} does not divide {field.q - 1})")
-    g = primitive_element(field).value
+    g = primitive_element(field)
     z = field.pow(g, (field.q - 1) // n)
     values = set()
     acc = 1
@@ -513,10 +408,10 @@ def nth_roots_of_unity(field: Field, n: int) -> list[Element]:
         values.add(acc)
         acc = field.mul(acc, z)
     assert len(values) == n
-    return [Element(field, v) for v in sorted(values)]
+    return sorted(values)
 
 
-def primitive_root_of_unity(field: Field, n: int) -> Element:
+def primitive_root_of_unity(field: Field, n: int) -> int:
     """The smallest canonical element of multiplicative order exactly n.
 
     Candidates are g^{(q-1)/n * j} over j coprime to n, so the scan is
@@ -525,18 +420,17 @@ def primitive_root_of_unity(field: Field, n: int) -> Element:
     if (field.q - 1) % n != 0:
         raise NoSuchRootsError(
             f"{field!r} has no element of order {n} ({n} does not divide {field.q - 1})")
-    g = primitive_element(field).value
+    g = primitive_element(field)
     step = (field.q - 1) // n
-    best = min(field.pow(g, step * j) for j in range(1, n + 1) if math.gcd(j, n) == 1)
-    return Element(field, best)
+    return min(field.pow(g, step * j) for j in range(1, n + 1) if math.gcd(j, n) == 1)
 
 
-def primitive_cube_root(p: int) -> Element:
+def primitive_cube_root(p: int) -> int:
     """The smallest nontrivial cube root of unity in GF(p); needs p = 1 mod 3."""
-    field = prime_field(p)
+    prime_field(p)  # validates p
     if (p - 1) % 3 != 0:
         raise NoCubeRootError(f"GF({p}) has no primitive cube root of unity (3 does not divide {p - 1})")
     for x in range(2, p):
         if pow(x, 3, p) == 1:
-            return Element(field, x)
+            return x
     raise AssertionError("unreachable: cube roots exist when 3 | p - 1")

@@ -216,10 +216,8 @@ class Poly:
             return self
         return self.scale(self.field.inv(self.coeffs[-1]))
 
-    def __call__(self, point):
-        """Evaluate by Horner's rule; int -> int, Element -> Element."""
-        if isinstance(point, gf.Element):
-            return gf.Element(point.field, self(point.value))
+    def __call__(self, point: int) -> int:
+        """Evaluate at a canonical integer by Horner's rule."""
         F = self.field
         x = F.check(point)
         acc = 0
@@ -377,8 +375,7 @@ def root_of_unity_context(field: gf.Field, n: int):
     """
     m = multiplicative_order_mod(field.q, n)
     ext = gf.tower_field(field, m)
-    beta = gf.primitive_root_of_unity(ext, n).value
-    return ext, beta
+    return ext, gf.primitive_root_of_unity(ext, n)
 
 
 def minimal_polynomial(coset: CyclotomicCoset, field: gf.Field) -> Poly:

@@ -27,7 +27,8 @@ from pathlib import Path
 from . import gf, poly
 from ._version import __version__
 from .bounds import BoundReport, bound_report
-from .code import ConstacyclicCode, DistanceResult, min_hamming_distance, min_pair_distance
+from .code import (ConstacyclicCode, DistanceResult, check_budget, min_hamming_distance,
+                   min_pair_distance)
 from .errors import BadParameterError, BudgetExceededError
 
 _SPEC_KEYS = {"p", "m", "n", "lambda", "generator", "defining_set"}
@@ -186,6 +187,7 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
     whose ``budget_exhausted`` names the stage: "d_hamming", "d_pair" or
     "bounds".
     """
+    check_budget(budget)
     t0 = time.perf_counter()
     found: dict[str, DistanceResult] = {}
 

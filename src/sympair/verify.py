@@ -185,7 +185,7 @@ def _family_summary(construct, args: tuple, certify: str) -> dict:
         "is_mds_pair": result.is_mds_pair,
     }
     if family.family == "MDS_3P_8":
-        out["omega"] = gf.primitive_cube_root(family.parameters["p"]).value
+        out["omega"] = gf.primitive_cube_root(family.parameters["p"])
     elif family.family == "MDS_N_6":
         defining = sorted(code.defining_set())
         out["defining_set"] = defining

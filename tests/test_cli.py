@@ -90,6 +90,13 @@ def test_analyze_budget_emits_partial_and_exit_3(tmp_path, capsys):
     assert payload["d_pair"]["is_lower_bound"] is True
 
 
+def test_analyze_negative_budget_is_input_error(tmp_path, capsys):
+    spec = _write_spec(tmp_path, SPEC_15_11)
+    rc = cli.main(["analyze", spec, "--budget", "-5"])
+    assert rc == cli.EXIT_INPUT == 2
+    assert "budget must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_analyze_strategy_flag(tmp_path, capsys):
     spec = _write_spec(tmp_path, SPEC_24_3)
     rc, out = _run(capsys, ["analyze", spec, "--json", "--strategy", "exhaustive"])

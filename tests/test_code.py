@@ -120,6 +120,11 @@ def test_constacyclic_shift_examples():
     assert code.constacyclic_shift(F5, 1, (1, 2, 3)) == (3, 1, 2)
     assert code.constacyclic_shift(F3, 2, (1, 0, 0)) == (0, 1, 0)
     assert code.constacyclic_shift(F3, 2, (0, 0, 1)) == (2, 0, 0)
+    # lambda is checked (canonical and nonzero) on every word, the empty one too
+    for lam in (0, 5, -1, True):
+        for word in ((1, 2, 3), ()):
+            with pytest.raises(errors.BadParameterError):
+                code.constacyclic_shift(F5, lam, word)
 
 
 def test_n_shifts_scale_by_lambda():

@@ -52,7 +52,7 @@ def test_family_3p_8_structure():
     assert res.d_hamming.value == 4
     f7 = gf.prime_field(7)
     x, one = Poly.x(f7), Poly.one(f7)
-    omega = gf.primitive_cube_root(7).value
+    omega = gf.primitive_cube_root(7)
     assert omega == 2
     expected_g = (x - one) ** 3 * (x - Poly(f7, [omega])) ** 2 * (x - Poly(f7, [f7.mul(omega, omega)]))
     assert res.code.g == expected_g

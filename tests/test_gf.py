@@ -182,15 +182,15 @@ def test_every_nonzero_element_has_inverse():
 
 
 def test_primitive_element_examples():
-    assert gf.primitive_element(gf.prime_field(5)).value == 2
-    assert gf.primitive_element(gf.prime_field(7)).value == 3
-    assert gf.primitive_element(gf.prime_field(2)).value == 1
+    assert gf.primitive_element(gf.prime_field(5)) == 2
+    assert gf.primitive_element(gf.prime_field(7)) == 3
+    assert gf.primitive_element(gf.prime_field(2)) == 1
 
 
 def test_primitive_element_order_exact_by_power_walk():
     for field in (gf.prime_field(5), gf.prime_field(13), gf.extension_field(3, 2),
                   gf.extension_field(2, 4), gf.extension_field(7, 2)):
-        g = gf.primitive_element(field).value
+        g = gf.primitive_element(field)
         seen = set()
         acc = 1
         for _ in range(field.q - 1):
@@ -204,16 +204,14 @@ def test_primitive_element_is_smallest_with_full_order():
     # canonical tie-break: no smaller element has order q - 1
     for field in (gf.prime_field(7), gf.extension_field(3, 2)):
         g = gf.primitive_element(field)
-        assert g.order() == field.q - 1
-        for v in range(1, g.value):
-            assert field.element(v).order() < field.q - 1
+        assert field.order(g) == field.q - 1
+        for v in range(1, g):
+            assert field.order(v) < field.q - 1
 
 
 def test_nth_roots_of_unity_examples():
-    roots = gf.nth_roots_of_unity(gf.prime_field(7), 3)
-    assert [r.value for r in roots] == [1, 2, 4]
-    roots = gf.nth_roots_of_unity(gf.prime_field(5), 4)
-    assert [r.value for r in roots] == [1, 2, 3, 4]
+    assert gf.nth_roots_of_unity(gf.prime_field(7), 3) == [1, 2, 4]
+    assert gf.nth_roots_of_unity(gf.prime_field(5), 4) == [1, 2, 3, 4]
     with pytest.raises(errors.NoSuchRootsError):
         gf.nth_roots_of_unity(gf.prime_field(5), 3)
 
@@ -221,7 +219,7 @@ def test_nth_roots_of_unity_examples():
 def test_nth_roots_are_distinct_and_annihilated():
     cases = [(gf.prime_field(13), 4), (gf.extension_field(3, 2), 8), (gf.extension_field(2, 4), 5)]
     for field, n in cases:
-        roots = [r.value for r in gf.nth_roots_of_unity(field, n)]
+        roots = gf.nth_roots_of_unity(field, n)
         assert len(roots) == n == len(set(roots))
         assert roots == sorted(roots)
         for r in roots:
@@ -232,15 +230,15 @@ def test_primitive_root_of_unity_has_exact_order():
     field = gf.extension_field(5, 2)
     for n in (2, 3, 4, 6, 8, 12, 24):
         beta = gf.primitive_root_of_unity(field, n)
-        assert beta.order() == n
+        assert field.order(beta) == n
         # smallest canonical element of that order
-        for v in range(1, beta.value):
-            assert field.element(v).order() != n
+        for v in range(1, beta):
+            assert field.order(v) != n
 
 
 def test_primitive_cube_root_examples():
-    assert gf.primitive_cube_root(7).value == 2
-    assert gf.primitive_cube_root(13).value == 3
+    assert gf.primitive_cube_root(7) == 2
+    assert gf.primitive_cube_root(13) == 3
     with pytest.raises(errors.NoCubeRootError):
         gf.primitive_cube_root(5)
 
@@ -248,20 +246,11 @@ def test_primitive_cube_root_examples():
 def test_primitive_cube_root_is_smallest_nontrivial():
     for p in (7, 13, 19, 31, 37, 43):
         omega = gf.primitive_cube_root(p)
-        field = omega.field
-        assert omega.value != 1
-        assert field.pow(omega.value, 3) == 1
-        for v in range(2, omega.value):
+        field = gf.prime_field(p)
+        assert omega != 1
+        assert field.pow(omega, 3) == 1
+        for v in range(2, omega):
             assert field.pow(v, 3) != 1
-
-
-def test_element_value_objects():
-    f9 = gf.extension_field(3, 2)
-    e = f9.element(5)
-    assert e.value == 5
-    assert e.coeffs == (2, 1)
-    assert e.field is f9
-    assert f9.element(4).inverse().value == f9.inv(4)
 
 
 def test_field_equality_and_serialization():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import sympair
-from sympair import code, constructions, errors, gf, poly, report
+from sympair import bounds, code, constructions, errors, gf, poly, report
 from sympair.code import ConstacyclicCode
 from sympair.poly import Poly
 
@@ -190,6 +190,37 @@ def test_analyze_budget_covers_the_bound_reports_product_formula():
             rep = report.analyze(c, "exhaustive", budget=budget)
             assert rep.perf["encodings"] == 6251
             assert rep.bounds.castagnoli_d_hamming == rep.d_hamming.value
+
+
+_BUDGETED = {
+    "min_hamming_distance": lambda b: code.min_hamming_distance(_example_15_11(), budget=b),
+    "min_pair_distance": lambda b: code.min_pair_distance(_example_15_11(), budget=b),
+    "analyze": lambda b: report.analyze(_example_15_11(), budget=b),
+    "castagnoli_details": lambda b: bounds.castagnoli_details(_example_15_11(), budget=b),
+    "mds_3p_6": lambda b: constructions.mds_3p_6(5, budget=b),
+    "mds_3p_7": lambda b: constructions.mds_3p_7(5, budget=b),
+    "mds_3p_8": lambda b: constructions.mds_3p_8(7, budget=b),
+    "mds_n_6": lambda b: constructions.mds_n_6(5, 24, budget=b),
+    "search_optimal_cyclic": lambda b: constructions.search_optimal_cyclic(3, 8, budget=b),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BUDGETED))
+def test_budget_is_validated_on_every_entry_point(entry):
+    run = _BUDGETED[entry]
+    for bad in ("10", -5, True, 2.5):
+        with pytest.raises(errors.BadParameterError, match="budget"):
+            run(bad)
+    try:
+        run(0)  # a zero budget is a real budget: spent, not rejected
+    except errors.BudgetExceededError:
+        pass
+
+
+def test_search_validates_max_codes():
+    for bad in ("3", 2.5, 0, True):
+        with pytest.raises(errors.BadParameterError, match="max_codes"):
+            constructions.search_optimal_cyclic(3, 8, max_codes=bad)
 
 
 def test_analyze_rejects_zero_code():
