@@ -74,13 +74,19 @@ is many supports with a leading value 1 and values 1..q-1 after it, the
 exhaustive scan the one support of all k positions with values 0..q-1.  So
 a witness codeword, the argmin row, has one place to be kept for both
 (none is kept yet).  ``_blocks`` cuts a scan into blocks of at most
-``_CELL_BUDGET`` cells.  For prime fields a block is one batched float
-matmul, exact because every dot product is at most (q-1)^2 * t.  float32
-is used while that stays below 2^24, float64 otherwise: float32 halves the
-bytes a block moves, and on full-size blocks the float32 kernel ran 2-28%
-faster than float64 (one thread, numpy 2.4).  Extension fields use
-table-gather accumulation over int16 add/mul tables built once per field;
-the products come from the field's own exp/log tables.  ``_CELL_BUDGET``
+``_CELL_BUDGET`` cells, its supports packed by one ``np.fromiter`` call.
+For prime fields a block is one batched float matmul, exact because every
+dot product is at most (q-1)^2 * t.  float32 is used while that stays
+below 2^24, float64 otherwise: float32 halves the bytes a block moves, and
+on full-size blocks the float32 kernel ran 2-28% faster than float64 (one
+thread, numpy 2.4).  The exact product is converted to int32 / int64 and
+reduced mod q in integers: ``np.remainder`` on the floats took about 25 ns
+a cell, against under 4 ns for the conversion and the integer remainder
+(2^18 float32 cells, one thread, numpy 2.4.6).  Extension fields
+accumulate by t rounds of ``np.take`` on the raveled add/mul tables, at
+index a*q + b; the tables, built once per field, hold that index in
+int16 while q^2 <= 2^15 and in int32 above (GF(256), GF(1024)).  The
+products come from the field's own exp/log tables.  ``_CELL_BUDGET``
 caps the cells of one block, and so peak memory.  At 2^18 cells the
 ``low-rate`` benchmark workload peaks at 34.6 MB against 40.9 MB at 2^22,
 with the same median CPU time (0.369 s a pass; 4 alternating runs each, 2
@@ -458,8 +464,9 @@ def _window_floor(n: int, k: int, t: int, for_pair: bool) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _field_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int16 addition and multiplication tables of an extension
-    field, built once per field.
+    """Read-only addition and multiplication tables of an extension field,
+    built once per field, in the narrowest dtype that holds an index
+    a*q + b into their raveled form: int16 while q^2 <= 2^15, else int32.
 
     Canonical integers are base-p digit vectors, so addition is digitwise
     mod p; products go through the field's own exp/log tables.
@@ -481,7 +488,8 @@ def _field_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray]:
     mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
     mul[0, :] = 0
     mul[:, 0] = 0
-    tables = (add.astype(np.int16), mul.astype(np.int16))
+    dtype = np.int16 if q * q <= 1 << 15 else np.int32
+    tables = (add.astype(dtype), mul.astype(dtype))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -504,20 +512,29 @@ def _encode_block(field: gf.Field, G: np.ndarray, digits: np.ndarray,
 
     G: the standard form; digits: (R, t) message values; cols: (B, t) batch
     of the information positions they occupy.  Returns a boolean array of
-    shape (B, R, n).
+    shape (B, R, n).  Prime fields: one float matmul, exact below 2^24
+    (float32) or 2^53 (float64), so it converts exactly to int32 / int64,
+    where it is reduced mod q.  Extension fields: t rounds of lookups in
+    the raveled tables at a*q + b (module docstring).
     """
+    q, t = field.q, digits.shape[1]
     if field.base is None:
-        q, t = field.q, digits.shape[1]
         # float32 is exact while every dot product stays below 2^24
-        dt = np.float32 if (q - 1) ** 2 * t < (1 << 24) else np.float64
-        C = digits.astype(dt) @ G.astype(dt)[cols]
-        np.remainder(C, q, out=C)
+        if (q - 1) ** 2 * t < (1 << 24):
+            dt, it = np.float32, np.int32
+        else:
+            dt, it = np.float64, np.int64
+        C = (digits.astype(dt) @ G.astype(dt)[cols]).astype(it)
+        C %= q
         return C != 0
     add_t, mul_t = _field_tables(field)
-    sel = G.astype(np.int16)[cols]
-    acc = np.zeros((sel.shape[0], digits.shape[0], G.shape[1]), dtype=np.int16)
-    for i in range(digits.shape[1]):
-        acc = add_t[acc, mul_t[digits[:, i][None, :, None], sel[:, i, :][:, None, :]]]
+    sel = G.astype(add_t.dtype)[cols]
+    scaled = digits.astype(add_t.dtype) * q
+    add_t, mul_t = add_t.ravel(), mul_t.ravel()
+    acc = np.zeros((sel.shape[0], digits.shape[0], G.shape[1]), dtype=add_t.dtype)
+    for i in range(t):
+        prod = np.take(mul_t, scaled[:, i][None, :, None] + sel[:, i, :][:, None, :])
+        acc = np.take(add_t, acc * q + prod)
     return acc != 0
 
 
@@ -528,8 +545,10 @@ def _blocks(supports, rows: range, n: int):
     chunk = max(1, _CELL_BUDGET // n)
     batch_size = max(1, chunk // len(rows))
     supports = iter(supports)
-    while batch := list(itertools.islice(supports, batch_size)):
-        batch = np.array(batch, dtype=np.intp)
+    for first in supports:  # each batch is its first support and the next ones
+        rest = itertools.islice(supports, batch_size - 1)
+        batch = np.fromiter(itertools.chain(first, itertools.chain.from_iterable(rest)),
+                            dtype=np.intp).reshape(-1, len(first))
         for a in range(0, len(rows), chunk):
             yield batch, rows[a:a + chunk]
 

@@ -35,17 +35,31 @@ NEG_INF = float("-inf")
 N_LIMIT = 1 << 16
 
 
+def _trimmed(coeffs):
+    """``coeffs`` without its trailing zeros."""
+    end = len(coeffs)
+    while end > 0 and coeffs[end - 1] == 0:
+        end -= 1
+    return coeffs[:end]
+
+
 class Poly:
     """Dense univariate polynomial over one :class:`~sympair.gf.Field`."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: gf.Field, coeffs=()):
-        end = len(coeffs)
-        while end > 0 and coeffs[end - 1] == 0:
-            end -= 1
         self.field = field
-        self.coeffs = tuple(field.check(c) for c in coeffs[:end])
+        self.coeffs = tuple(field.check(c) for c in _trimmed(coeffs))
+
+    @classmethod
+    def _trusted(cls, field: gf.Field, coeffs) -> "Poly":
+        """A polynomial from coefficients that field arithmetic produced,
+        already canonical: trimmed, not validated again."""
+        f = object.__new__(cls)
+        f.field = field
+        f.coeffs = tuple(_trimmed(coeffs))
+        return f
 
     # ------------------------------------------------------------------
     # constructors
@@ -134,11 +148,11 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        return Poly._trusted(F, out)
 
     def __neg__(self) -> "Poly":
         F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return Poly._trusted(F, [F.neg(c) for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -159,12 +173,12 @@ class Poly:
                 for j, bj in enumerate(b):
                     if bj:
                         out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-        return Poly(F, out)
+        return Poly._trusted(F, out)
 
     def scale(self, c: int) -> "Poly":
         """Multiply by a field constant."""
         F = self.field
-        return Poly(F, [F.mul(c, a) for a in self.coeffs])
+        return Poly._trusted(F, [F.mul(c, a) for a in self.coeffs])
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if not isinstance(other, Poly):
@@ -188,7 +202,7 @@ class Poly:
             for i, dc in enumerate(other.coeffs):
                 if dc:
                     rem[top - dlen + 1 + i] = F.sub(rem[top - dlen + 1 + i], F.mul(factor, dc))
-        return Poly(F, quot), Poly(F, rem)
+        return Poly._trusted(F, quot), Poly._trusted(F, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -231,7 +245,7 @@ class Poly:
         out = []
         for i in range(1, len(self.coeffs)):
             out.append(F.mul(i % F.p, self.coeffs[i]))
-        return Poly(F, out)
+        return Poly._trusted(F, out)
 
 
 def binomial(field: gf.Field, n: int, lam: int) -> Poly:

@@ -702,3 +702,72 @@ def test_walker_exhaustive_scan_is_one_support(monkeypatch):
         assert digits.min() >= 0 and digits.max() <= q - 1
         seen.append(digits @ powers)
     assert np.array_equal(np.concatenate(seen), np.arange(1, q ** k))
+
+
+def test_encode_block_matches_encode_at_every_dtype_boundary():
+    """The kernel's nonzero mask equals that of m(x) g(x), message by message,
+    on random blocks of both shapes: many supports with few value rows, and
+    one support with many.  The codes reach every kernel dtype: float32 and
+    float64 products (int32 / int64 reduction) and int16 and int32 table
+    indices."""
+    rng = np.random.default_rng(14)
+    cases = (  # (field, n, defining set): n divides q - 1 except over GF(2)
+        (F2, 7, [1]),                              # [7,4]
+        (F7, 6, [1, 2]),                           # [6,4]
+        (gf.prime_field(2053), 19, [1, 2, 3, 4, 5]),  # [19,14]: float32 to t = 3, float64 from 4
+        (gf.prime_field(65521), 13, [1, 2, 3, 4]),    # [13,9]: float64 at every t
+        (F4, 5, [1]),                              # [5,3]
+        (F9, 8, [1, 2]),                           # [8,6]
+        (gf.extension_field(2, 8), 17, [1, 2]),    # [17,15]: q^2 = 2^16, int32 index
+        (gf.extension_field(2, 10), 11, [1, 2]),   # [11,9]
+    )
+    kernels = set()
+    for field, n, exponents in cases:
+        c = ConstacyclicCode.from_defining_set(field, n, exponents, expand=True)
+        q, k = field.q, c.k
+        G = c.generator_matrix()
+        blocks = []
+        for t in (1, 2, 3):  # many supports, few rows
+            supports = list(itertools.combinations(range(k), t))
+            picked = rng.permutation(len(supports))[:40]
+            blocks.append((rng.integers(1, q, size=(3, t)),
+                           np.array([supports[i] for i in picked], dtype=np.intp)))
+        for support in (sorted(rng.permutation(k)[:3]), range(k)):  # one support, many rows
+            digits = rng.integers(0, q, size=(64, len(support)))
+            digits[0] = q - 1
+            for row in digits[1:]:
+                # the last value makes the word 0 at a column j: a dot product
+                # that is a nonzero multiple of q, as large as the field allows
+                j = rng.choice(np.flatnonzero(G[support[-1]]))
+                s = 0
+                for i, v in zip(support[:-1], row):
+                    s = field.add(s, field.mul(int(v), int(G[i, j])))
+                row[-1] = field.mul(field.neg(s), field.inv(int(G[support[-1], j])))
+            blocks.append((digits, np.array([support], dtype=np.intp)))
+        for digits, cols in blocks:
+            t = digits.shape[1]
+            if field.base is None:
+                kernels.add("float32" if (q - 1) ** 2 * t < 1 << 24 else "float64")
+            else:
+                kernels.add(code._field_tables(field)[0].dtype.name)
+            mask = code._encode_block(field, G, digits, cols)
+            assert mask.shape == (len(cols), len(digits), n)
+            for b, support in enumerate(cols):
+                for r, values in enumerate(digits):
+                    message = [0] * k
+                    for i, v in zip(support, values):
+                        message[i] = int(v)
+                    word = c.encode(message)
+                    assert mask[b, r].tolist() == [v != 0 for v in word], (q, t)
+    assert kernels == {"float32", "float64", "int16", "int32"}
+
+
+def test_engines_agree_over_a_float64_field():
+    F = gf.prime_field(65521)
+    c = ConstacyclicCode.from_generator(F, 3, 1, Poly(F, [1, 1, 1]))  # k = 1
+    assert c.k == 1
+    for distance in (code.min_hamming_distance, code.min_pair_distance):
+        reference = distance(c, "dependency")
+        exhaustive = distance(c, "exhaustive")
+        assert exhaustive.enumeration_count == F.q - 1
+        assert exhaustive.value == distance(c, "bounded").value == reference.value == 3

@@ -29,6 +29,25 @@ def test_construction_normalizes_trailing_zeros():
     assert Poly(F5, [0, 0]).is_zero()
 
 
+def test_outside_coefficients_are_validated_and_results_canonical():
+    for bad in ([5], [1.5], [-1], [True], [1, 7, 1]):
+        with pytest.raises(errors.BadParameterError):
+            Poly(F5, bad)
+    with pytest.raises(errors.BadParameterError):
+        Poly(F9, [9])
+    # arithmetic builds its results unchecked: they must already be canonical
+    assert (Poly(F5, [4, 3]) * Poly(F5, [2, 1])).coeffs == (3, 0, 3)
+    rng = random.Random(37)
+    for field in (F2, F5, F9):
+        for _ in range(50):
+            f, g = _random_poly(rng, field, 5), _random_poly(rng, field, 3)
+            for h in (f + g, -f, f - f, f * g, f.scale(rng.randrange(field.q)),
+                      *divmod(f, g), f.derivative()):
+                assert Poly(field, h.coeffs) == h
+                assert all(type(c) is int for c in h.coeffs)
+                assert not h.coeffs or h.coeffs[-1] != 0
+
+
 def test_zero_polynomial_degree_sentinel():
     zero = Poly.zero(F5)
     assert zero.degree == poly.NEG_INF
