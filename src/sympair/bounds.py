@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from . import gf, poly
 from .code import ConstacyclicCode, check_budget, min_hamming_distance
 from .errors import (
-    BadParameterError,
     BudgetExceededError,
     NotCoprimeError,
     NotRepeatedRootError,
     NotUnionOfCosetsError,
     OutOfScopeError,
     ZeroCodeError,
+    require_int,
 )
 
 #: Distance of the zero residue code; absorbs multiplication, loses every min.
@@ -45,12 +45,9 @@ def singleton_pair_max(n: int, q: int, k: int) -> int:
 
     A code meeting it with equality is an MDS symbol-pair code.
     """
-    if not (isinstance(n, int) and n >= 2):
-        raise BadParameterError(f"length must be an integer >= 2, got {n!r}")
-    if not (isinstance(q, int) and q >= 2):
-        raise BadParameterError(f"alphabet size must be an integer >= 2, got {q!r}")
-    if not (isinstance(k, int) and 1 <= k <= n):
-        raise BadParameterError(f"dimension must satisfy 1 <= k <= {n}, got {k!r}")
+    require_int(n, "length", least=2)
+    require_int(q, "alphabet size", least=2)
+    require_int(k, "dimension", 1, n)
     return n - k + 2
 
 
@@ -69,9 +66,9 @@ class PairDistanceFloor:
 
 def pair_distance_floor(n: int, k: int, d_hamming: int) -> PairDistanceFloor:
     """Pair-distance floor for any constacyclic [n, k, d_H] code, 2 <= d_H < n."""
-    if not (isinstance(n, int) and n >= 2 and isinstance(k, int) and 1 <= k < n):
-        raise BadParameterError(f"need n >= 2 and 1 <= k < n, got n={n!r}, k={k!r}")
-    if not isinstance(d_hamming, int) or d_hamming < 2 or d_hamming >= n:
+    require_int(n, "length", least=2)
+    require_int(k, "dimension", 1, n - 1)
+    if not 2 <= require_int(d_hamming, "d_H") < n:
         raise OutOfScopeError(
             f"pair-distance floor covers 2 <= d_H < n only, got d_H={d_hamming!r}, n={n}")
     if k == n - d_hamming + 1:
@@ -141,12 +138,8 @@ def repeated_root_shape(code: ConstacyclicCode) -> RepeatedRootShape:
 
 def radix_p_product(t: int, p: int) -> int:
     """P_t: the product of (digit + 1) over the base-p digits of t (P_0 = 1)."""
-    if not isinstance(t, int) or t < 0:
-        raise BadParameterError(f"t must be a nonnegative integer, got {t!r}")
-    if isinstance(p, int) and p > gf.Q_LIMIT:  # before trial division
-        raise OutOfScopeError(f"prime {p} exceeds the supported limit {gf.Q_LIMIT}")
-    if not gf.is_prime(p):
-        raise BadParameterError(f"p must be prime, got {p!r}")
+    require_int(t, "t", least=0)
+    gf.prime_field(p)  # the prime test, which checks the size limit first
     out = 1
     while t:
         out *= t % p + 1
@@ -159,9 +152,7 @@ def residue_code(shape: RepeatedRootShape | ConstacyclicCode, t: int) -> Constac
     multiplicity > t.  May be the zero code (k = 0) or the full space."""
     if isinstance(shape, ConstacyclicCode):
         shape = repeated_root_shape(shape)
-    if not isinstance(t, int) or not 0 <= t <= shape.p ** shape.e - 1:
-        raise BadParameterError(
-            f"t must lie in [0, p^e - 1] = [0, {shape.p ** shape.e - 1}], got {t!r}")
+    require_int(t, "t", 0, shape.p ** shape.e - 1)
     g_t = poly.Poly.one(shape.field)
     for f, mult in shape.factors:
         if mult > t:
@@ -251,9 +242,7 @@ def repeated_root_pair_floor(code: ConstacyclicCode, d_hamming: int) -> Repeated
     when d_H is not prime or neither condition window holds."""
     shape = repeated_root_shape(code)
     n, k = code.n, code.k
-    if not isinstance(d_hamming, int) or not 1 <= d_hamming <= n:  # before trial division
-        raise BadParameterError(f"d_H must be an integer in 1..{n}, got {d_hamming!r}")
-    if not gf.is_prime(d_hamming):
+    if not gf.is_prime(require_int(d_hamming, "d_H", 1, n)):  # range before trial division
         return RepeatedRootPairFloor(False, None, None)
     if shape.ell < d_hamming < n - k:
         return RepeatedRootPairFloor(True, 1, d_hamming + 3)
@@ -268,9 +257,7 @@ def repeated_root_pair_floor(code: ConstacyclicCode, d_hamming: int) -> Repeated
 
 def bch_bound(T, n: int) -> int:
     """1 + the longest circular run of consecutive residues contained in T."""
-    if not isinstance(n, int) or n < 1:
-        raise BadParameterError(f"modulus must be a positive integer, got {n!r}")
-    T = poly.exponent_set(T, n)
+    T = poly.exponent_set(T, poly.require_length(n, "modulus n"))
     if len(T) == n:
         return n + 1
     best = 0
@@ -291,7 +278,7 @@ def hartmann_tzeng_bound(T, n: int, q: int) -> int:
     such that {b + i1 + i2*a : 0 <= i1 <= delta-2, 0 <= i2 <= s} lies in T.
     Always >= the BCH bound (a = 1, s = 0 recovers it).
     """
-    if math.gcd(n, q) != 1:
+    if math.gcd(poly.require_length(n, "modulus n"), require_int(q, "q", least=2)) != 1:
         raise NotCoprimeError(f"gcd({n}, {q}) = {math.gcd(n, q)} != 1")
     T = poly.exponent_set(T, n)
     if {x * q % n for x in T} - T:
@@ -355,9 +342,8 @@ def bound_report(code: ConstacyclicCode, d_hamming: int | None = None) -> BoundR
     when given, must be an integer in 1..n."""
     if code.k == 0:
         raise ZeroCodeError("bounds are reported for nonzero codes only")
-    if d_hamming is not None and (not isinstance(d_hamming, int)
-                                  or not 1 <= d_hamming <= code.n):
-        raise BadParameterError(f"d_H must be an integer in 1..{code.n}, got {d_hamming!r}")
+    if d_hamming is not None:
+        require_int(d_hamming, "d_H", 1, code.n)
     if d_hamming is not None and 2 <= d_hamming < code.n and code.k < code.n:
         floor = pair_distance_floor(code.n, code.k, d_hamming)
     else:

@@ -116,6 +116,7 @@ from .errors import (
     NotUnionOfCosetsError,
     OutOfScopeError,
     ZeroCodeError,
+    require_int,
 )
 
 #: Work-array size (cells) per enumeration block; keeps peak memory modest.
@@ -237,12 +238,14 @@ def _check_lambda(field: gf.Field, lam: int) -> None:
 # the code object
 
 class ConstacyclicCode:
-    """A lambda-constacyclic code of length n over GF(q) with generator g."""
+    """A lambda-constacyclic code of length n over GF(q) with generator g.
 
-    def __init__(self, field: gf.Field, n: int, lam: int, g: poly.Poly, *,
-                 defining_set: frozenset[int] | None = None):
-        if not isinstance(n, int) or n < 1:
-            raise BadParameterError(f"length must be a positive integer, got {n!r}")
+    The code holds only (field, n, lambda, g); everything else, the defining
+    set included, is derived from them.
+    """
+
+    def __init__(self, field: gf.Field, n: int, lam: int, g: poly.Poly):
+        poly.require_length(n, "length")
         _check_lambda(field, lam)
         if not isinstance(g, poly.Poly) or g.field != field:
             raise BadParameterError(f"generator must be a Poly over {field!r}")
@@ -257,7 +260,7 @@ class ConstacyclicCode:
         self.lam = lam
         self.g = g
         self.k = n - g.degree
-        self._defining_set = frozenset(defining_set) if defining_set is not None else None
+        self._defining_set: frozenset[int] | None = None
         self._std_form: np.ndarray | None = None
         # filled by bounds.repeated_root_shape / bounds.castagnoli_details
         self._shape = None
@@ -276,10 +279,11 @@ class ConstacyclicCode:
 
         ``exponents`` must be closed under multiplication by q mod n; with
         ``expand=True`` it is instead treated as representatives and closed
-        automatically.
+        automatically.  The code keeps the set it was built from, as
+        ``defining_set()`` would derive it from g.
         """
         q = field.q
-        if math.gcd(n, q) != 1:
+        if math.gcd(poly.require_length(n, "length"), q) != 1:
             raise NotCoprimeError(
                 f"defining sets need gcd(n, q) = 1, got gcd({n}, {q}) = {math.gcd(n, q)}")
         T = poly.exponent_set(exponents, n)
@@ -295,8 +299,9 @@ class ConstacyclicCode:
         for coset in cosets:
             if coset.representative in T:
                 g = g * poly.minimal_polynomial(coset, field)
-        code = cls(field, n, 1, g, defining_set=frozenset(T))
+        code = cls(field, n, 1, g)
         assert code.k == n - len(T)
+        code._defining_set = frozenset(T)
         return code
 
     # -- basic structure -----------------------------------------------
@@ -337,10 +342,10 @@ class ConstacyclicCode:
     def defining_set(self) -> frozenset[int] | None:
         """Exponent set of the code's roots (simple-root cyclic codes only).
 
-        Derived from the generator when the code was not built from one: g
-        is a product of minimal polynomials, so a coset lies in the set
-        exactly when g vanishes at beta^r for its representative r.  Returns
-        None for non-cyclic or repeated-root codes.
+        Derived from the generator, unless ``from_defining_set`` recorded the
+        set it built g from: g is a product of minimal polynomials, so a
+        coset lies in the set exactly when g vanishes at beta^r for its
+        representative r.  Returns None for non-cyclic or repeated-root codes.
         """
         if self._defining_set is not None:
             return self._defining_set
@@ -436,6 +441,7 @@ def divisor_codes(field: gf.Field, n: int, lam: int):
     factors of ``poly.factor(x^n - lam)`` (sorted by degree, then
     coefficients), so a corpus built from them is reproducible.
     """
+    poly.require_length(n, "length")  # before binomial, which names n the exponent
     factors = poly.factor(poly.binomial(field, n, lam)).factors
     for exps in itertools.product(*(range(m + 1) for _f, m in factors)):
         if all(e == m for e, (_f, m) in zip(exps, factors)):
@@ -591,9 +597,8 @@ def _stat_min_pair_weight(nz: np.ndarray, prune_above: int) -> int:
 
 def check_budget(value, name: str = "budget", least: int = 0) -> None:
     """Validate a work cap: None, or an int (not a bool) >= ``least``."""
-    if value is not None and (not isinstance(value, int) or isinstance(value, bool)
-                              or value < least):
-        raise BadParameterError(f"{name} must be an integer >= {least} when given, got {value!r}")
+    if value is not None:
+        require_int(value, name, least)
 
 
 def _require_budget(used: int, next_cost: int, budget: int | None,

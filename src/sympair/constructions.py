@@ -35,7 +35,7 @@ from .code import (
     min_hamming_distance,
     min_pair_distance,
 )
-from .errors import BadParameterError, BudgetExceededError, OutOfScopeError
+from .errors import BadParameterError, BudgetExceededError, OutOfScopeError, require_int
 
 #: Certification levels: structure only, or both distances certified exactly.
 CERTIFY_LEVELS = ("bounds", "full")
@@ -98,13 +98,11 @@ def _require_options(certify: str, budget: int | None) -> None:
         raise BadParameterError(f"certify must be one of {CERTIFY_LEVELS}, got {certify!r}")
 
 
-def _require_odd_prime_at_least(p, minimum: int) -> None:
-    if isinstance(p, int) and p > gf.Q_LIMIT:  # before trial division
-        raise OutOfScopeError(f"field order {p} exceeds the supported limit {gf.Q_LIMIT}")
-    if not isinstance(p, int) or not gf.is_prime(p):
-        raise BadParameterError(f"p must be prime, got {p!r}")
-    if p < minimum:
-        raise BadParameterError(f"p must be at least {minimum}, got {p}")
+def _prime_field_at_least_5(p) -> gf.Field:
+    field = gf.prime_field(p)
+    if p < 5:
+        raise BadParameterError(f"p must be at least 5, got {p}")
+    return field
 
 
 def _certified(code: ConstacyclicCode, spec: FamilySpec, certify: str,
@@ -138,8 +136,7 @@ def mds_3p_7(p: int, certify: str = "full", *,
              budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-5, 4] cyclic code over GF(p) with pair distance 7, p >= 5 prime."""
     _require_options(certify, budget)
-    _require_odd_prime_at_least(p, 5)
-    field = gf.prime_field(p)
+    field = _prime_field_at_least_5(p)
     x = poly.Poly.x(field)
     one = poly.Poly.one(field)
     g = (x - one) ** 3 * poly.Poly(field, (1, 1, 1))
@@ -152,10 +149,9 @@ def mds_3p_8(p: int, certify: str = "full", *,
              budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-6, 4] cyclic code over GF(p) with pair distance 8, p = 1 mod 3."""
     _require_options(certify, budget)
-    _require_odd_prime_at_least(p, 5)
+    field = _prime_field_at_least_5(p)
     if p % 3 != 1:
         raise BadParameterError(f"p must be 1 mod 3 so cube roots of unity exist, got {p}")
-    field = gf.prime_field(p)
     omega = gf.primitive_cube_root(p)
     x = poly.Poly.x(field)
     one = poly.Poly.one(field)
@@ -171,8 +167,7 @@ def mds_3p_6(p: int, certify: str = "full", *,
              budget: int | None = None) -> ConstructionResult:
     """[3p, 3p-4, 3] cyclic code over GF(p) with pair distance 6, p >= 5 prime."""
     _require_options(certify, budget)
-    _require_odd_prime_at_least(p, 5)
-    field = gf.prime_field(p)
+    field = _prime_field_at_least_5(p)
     x = poly.Poly.x(field)
     one = poly.Poly.one(field)
     g = (x - one) * poly.binomial(field, 3, 1)
@@ -186,11 +181,9 @@ def mds_n_6(q: int, n: int, certify: str = "full", *,
     """[n, n-4, 4] cyclic code over GF(q) with pair distance 6, from the
     defining set C_0 u C_1 u C_{q+1} mod n, where n | q^2 - 1 and n >= q + 4."""
     _require_options(certify, budget)
-    if not isinstance(q, int) or q < 3:
-        raise BadParameterError(f"q must be a prime power >= 3, got {q!r}")
-    field = _field_of_order(q)
-    if not isinstance(n, int) or n < 2 or (q * q - 1) % n != 0:
-        raise BadParameterError(f"n must divide q^2 - 1 = {q * q - 1}, got {n!r}")
+    field = _field_of_order(q)  # q = 2 fails below: n | 3 and n >= 6 cannot both hold
+    if (q * q - 1) % require_int(n, "n", least=1) != 0:
+        raise BadParameterError(f"n must divide q^2 - 1 = {q * q - 1}, got {n}")
     if n < q + 4:
         raise BadParameterError(f"n must be at least q + 4 = {q + 4}, got {n}")
     # n >= q + 4 makes C_1 = {1, q} and C_{q+1} = {q + 1}, so k = n - 4
@@ -202,9 +195,10 @@ def mds_n_6(q: int, n: int, certify: str = "full", *,
 
 
 def _field_of_order(q: int) -> gf.Field:
-    if q > gf.Q_LIMIT:  # before factoring, which would take ~sqrt(q) steps
+    # the limit comes before factoring, which would take ~sqrt(q) steps
+    if require_int(q, "q", least=2) > gf.Q_LIMIT:
         raise OutOfScopeError(f"field order {q} exceeds the supported limit {gf.Q_LIMIT}")
-    if q < 2 or len(gf.prime_factors(q)) != 1:
+    if len(gf.prime_factors(q)) != 1:
         raise BadParameterError(f"q must be a prime power >= 2, got {q}")
     (p,) = gf.prime_factors(q)
     m = 0

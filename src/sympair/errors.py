@@ -1,8 +1,14 @@
-"""Exception hierarchy for the sympair toolkit.
+"""Exception hierarchy for the sympair toolkit, and its one integer rule.
 
 Everything raised on purpose derives from :class:`SymPairError`, so callers
 (and the CLI) can distinguish domain errors from genuine bugs.  Most errors
 are also ValueError subclasses because they signal bad arguments.
+
+Every integer argument of the public API, field elements included, is
+checked by :func:`require_int`: an ``int`` that is not a ``bool``, within
+an optional range, or a :class:`BadParameterError`.  A characteristic that
+is an integer >= 2 but composite raises :class:`NotPrimeError`, which is a
+``BadParameterError`` too.
 """
 
 from __future__ import annotations
@@ -10,10 +16,6 @@ from __future__ import annotations
 
 class SymPairError(Exception):
     """Base class for all toolkit errors."""
-
-
-class NotPrimeError(SymPairError, ValueError):
-    """A characteristic that must be prime is composite."""
 
 
 class FieldMismatchError(SymPairError, ValueError):
@@ -76,6 +78,10 @@ class BadParameterError(SymPairError, ValueError):
     """A construction or query parameter violates its precondition."""
 
 
+class NotPrimeError(BadParameterError):
+    """A characteristic that must be prime is composite."""
+
+
 class BudgetExceededError(SymPairError, RuntimeError):
     """A distance engine would exceed (or has exceeded) its work budget.
 
@@ -94,3 +100,16 @@ class BudgetExceededError(SymPairError, RuntimeError):
         self.upper_bound = upper_bound
         self.enumerated = enumerated
         self.partial = partial
+
+
+def require_int(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` if it is an int, not a bool, in [least, most] (either end
+    optional); raises BadParameterError naming ``name`` otherwise."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and (least is None or value >= least) and (most is None or value <= most)):
+        return value
+    if most is None:
+        want = "" if least is None else f" >= {least}"
+    else:
+        want = f" <= {most}" if least is None else f" in {least}..{most}"
+    raise BadParameterError(f"{name} must be an integer{want}, got {value!r}")

@@ -37,12 +37,12 @@ import math
 import numpy as np
 
 from .errors import (
-    BadParameterError,
     DivisionByZeroError,
     NoCubeRootError,
     NoSuchRootsError,
     NotPrimeError,
     OutOfScopeError,
+    require_int,
 )
 
 #: Largest supported field order.  Keeps exp/log tables and scans cheap.
@@ -135,10 +135,7 @@ class Field:
 
     def check(self, a: int) -> int:
         """Validate a canonical integer and return it unchanged."""
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
-            raise BadParameterError(
-                f"{a!r} is not a canonical element of {self!r} (expected int in [0, {self.q}))")
-        return a
+        return require_int(a, "field element", 0, self.q - 1)
 
     def coords(self, a: int) -> tuple[int, ...]:
         """Base-p coordinates of a canonical integer, little-endian, length m."""
@@ -302,11 +299,12 @@ class Field:
 # ----------------------------------------------------------------------
 # constructors
 
-@functools.lru_cache(maxsize=None)
+# Both caches are typed: an untyped one would answer extension_field(2, True)
+# with the cached GF(2) of extension_field(2, 1), skipping the checks below.
+@functools.lru_cache(maxsize=None, typed=True)
 def prime_field(p: int) -> Field:
-    """GF(p) for prime p."""
-    if not isinstance(p, int) or p < 2:
-        raise BadParameterError(f"field characteristic must be an integer >= 2, got {p!r}")
+    """GF(p) for prime p; every argument that must be prime is checked here."""
+    require_int(p, "field characteristic", least=2)
     if p > Q_LIMIT:  # before trial division, which would take ~sqrt(p) steps
         raise OutOfScopeError(f"field order {p} exceeds the supported limit {Q_LIMIT}")
     if not is_prime(p):
@@ -314,11 +312,10 @@ def prime_field(p: int) -> Field:
     return Field(p, (0, 1), None)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def extension_field(p: int, m: int) -> Field:
     """GF(p^m) with the smallest monic irreducible modulus in canonical-value order."""
-    if not isinstance(m, int) or m < 1:
-        raise BadParameterError(f"extension degree must be a positive integer, got {m!r}")
+    require_int(m, "extension degree", least=1)
     base = prime_field(p)
     if m == 1:
         return base
@@ -395,9 +392,7 @@ def nth_roots_of_unity(field: Field, n: int) -> list[int]:
     Requires n | q - 1 (so the roots exist and are distinct); raises
     NoSuchRootsError otherwise.
     """
-    if not isinstance(n, int) or n < 1:
-        raise BadParameterError(f"n must be a positive integer, got {n!r}")
-    if (field.q - 1) % n != 0:
+    if (field.q - 1) % require_int(n, "n", least=1) != 0:
         raise NoSuchRootsError(
             f"{field!r} has no primitive {n}-th root of unity ({n} does not divide {field.q - 1})")
     g = primitive_element(field)
@@ -417,7 +412,7 @@ def primitive_root_of_unity(field: Field, n: int) -> int:
     Candidates are g^{(q-1)/n * j} over j coprime to n, so the scan is
     O(n) table lookups rather than a walk over the whole field.
     """
-    if (field.q - 1) % n != 0:
+    if (field.q - 1) % require_int(n, "n", least=1) != 0:
         raise NoSuchRootsError(
             f"{field!r} has no element of order {n} ({n} does not divide {field.q - 1})")
     g = primitive_element(field)

@@ -26,6 +26,7 @@ from .errors import (
     NotCoprimeError,
     OutOfScopeError,
     ZeroPolynomialError,
+    require_int,
 )
 
 #: Degree of the zero polynomial.
@@ -33,6 +34,14 @@ NEG_INF = float("-inf")
 
 #: Largest supported length n: x^n - lambda and the cosets mod n take O(n) memory.
 N_LIMIT = 1 << 16
+
+
+def require_length(n, name: str) -> int:
+    """``n`` if it is an integer in 1..N_LIMIT: BadParameterError below,
+    OutOfScopeError above."""
+    if require_int(n, name, least=1) > N_LIMIT:
+        raise OutOfScopeError(f"{name} {n} exceeds the supported limit {N_LIMIT}")
+    return n
 
 
 def _trimmed(coeffs):
@@ -54,8 +63,8 @@ class Poly:
 
     @classmethod
     def _trusted(cls, field: gf.Field, coeffs) -> "Poly":
-        """A polynomial from coefficients that field arithmetic produced,
-        already canonical: trimmed, not validated again."""
+        """A polynomial from coefficients that field arithmetic produced or
+        that are canonical by construction: trimmed, not validated again."""
         f = object.__new__(cls)
         f.field = field
         f.coeffs = tuple(_trimmed(coeffs))
@@ -66,15 +75,15 @@ class Poly:
 
     @classmethod
     def zero(cls, field: gf.Field) -> "Poly":
-        return cls(field, ())
+        return cls._trusted(field, ())
 
     @classmethod
     def one(cls, field: gf.Field) -> "Poly":
-        return cls(field, (1,))
+        return cls._trusted(field, (1,))
 
     @classmethod
     def x(cls, field: gf.Field) -> "Poly":
-        return cls(field, (0, 1))
+        return cls._trusted(field, (0, 1))
 
     # ------------------------------------------------------------------
     # structure
@@ -211,8 +220,10 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int) -> "Poly":
-        if not isinstance(e, int) or e < 0:
-            raise BadParameterError(f"polynomial exponent must be a nonnegative int, got {e!r}")
+        require_int(e, "polynomial exponent", least=0)
+        if self and self.degree * e > N_LIMIT:  # x^n - lambda's cap, before any work
+            raise OutOfScopeError(
+                f"degree {self.degree} * {e} exceeds the supported limit {N_LIMIT}")
         result = Poly.one(self.field)
         base = self
         while e:
@@ -250,12 +261,8 @@ class Poly:
 
 def binomial(field: gf.Field, n: int, lam: int) -> Poly:
     """The polynomial x^n - lam."""
-    if n < 1:
-        raise BadParameterError(f"exponent must be >= 1, got {n}")
-    if n > N_LIMIT:
-        raise OutOfScopeError(f"length {n} exceeds the supported limit {N_LIMIT}")
-    coeffs = [field.neg(field.check(lam))] + [0] * (n - 1) + [1]
-    return Poly(field, coeffs)
+    coeffs = [field.neg(field.check(lam))] + [0] * (require_length(n, "exponent") - 1) + [1]
+    return Poly._trusted(field, coeffs)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -325,14 +332,9 @@ class CyclotomicCoset:
 
 def cyclotomic_cosets(n: int, q: int) -> list[CyclotomicCoset]:
     """All q-cyclotomic cosets modulo n, sorted by representative."""
-    if not isinstance(n, int) or n < 1:
-        raise BadParameterError(f"modulus n must be a positive integer, got {n!r}")
-    if not isinstance(q, int) or q < 2:
-        raise BadParameterError(f"field size q must be an integer >= 2, got {q!r}")
-    if math.gcd(n, q) != 1:
+    require_length(n, "modulus n")
+    if math.gcd(n, require_int(q, "field size q", least=2)) != 1:
         raise NotCoprimeError(f"gcd({n}, {q}) = {math.gcd(n, q)} != 1")
-    if n > N_LIMIT:
-        raise OutOfScopeError(f"modulus {n} exceeds the supported limit {N_LIMIT}")
     seen = [False] * n
     out = []
     for start in range(n):
@@ -350,24 +352,18 @@ def cyclotomic_cosets(n: int, q: int) -> list[CyclotomicCoset]:
 
 def cyclotomic_coset(n: int, q: int, exponent: int) -> CyclotomicCoset:
     """The single q-cyclotomic coset modulo n containing ``exponent``."""
-    if not isinstance(exponent, int) or isinstance(exponent, bool):
-        raise BadParameterError(f"exponent must be an integer, got {exponent!r}")
+    require_int(exponent, "exponent")
     return next(c for c in cyclotomic_cosets(n, q) if exponent % n in c)
 
 
 def exponent_set(exponents, n: int) -> set[int]:
     """``exponents`` as a set of residues, each an int (not a bool) in Z_n."""
-    out = set()
-    for j in exponents:
-        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < n:
-            raise BadParameterError(f"exponent {j!r} is not in Z_{n}")
-        out.add(j)
-    return out
+    return {require_int(j, f"exponent {j!r}", 0, n - 1) for j in exponents}
 
 
 def multiplicative_order_mod(q: int, n: int) -> int:
     """Order of q in the unit group mod n (gcd(q, n) must be 1)."""
-    if math.gcd(n, q) != 1:
+    if math.gcd(require_length(n, "modulus n"), require_int(q, "q")) != 1:
         raise NotCoprimeError(f"gcd({n}, {q}) = {math.gcd(n, q)} != 1")
     if n == 1:
         return 1

@@ -29,7 +29,7 @@ from ._version import __version__
 from .bounds import BoundReport, bound_report
 from .code import (ConstacyclicCode, DistanceResult, check_budget, min_hamming_distance,
                    min_pair_distance)
-from .errors import BadParameterError, BudgetExceededError
+from .errors import BadParameterError, BudgetExceededError, require_int
 
 _SPEC_KEYS = {"p", "m", "n", "lambda", "generator", "defining_set"}
 
@@ -37,10 +37,7 @@ _SPEC_KEYS = {"p", "m", "n", "lambda", "generator", "defining_set"}
 def _require_int(data: dict, key: str) -> int:
     if key not in data:
         raise BadParameterError(f"code spec is missing required key {key!r}")
-    value = data[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise BadParameterError(f"code spec key {key!r} must be an integer, got {value!r}")
-    return value
+    return require_int(data[key], f"code spec key {key!r}")
 
 
 def code_from_spec_dict(data: dict) -> ConstacyclicCode:

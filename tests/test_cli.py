@@ -231,6 +231,12 @@ def test_search_human_table(capsys):
     assert "MDS" in out
 
 
+def test_search_names_a_bad_length(capsys):
+    rc = cli.main(["search", "--q", "4", "--n", "0"])
+    assert rc == cli.EXIT_INPUT == 2
+    assert "length must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
 def test_search_budget_truncates_with_exit_3(capsys):
     rc, out = _run(capsys, ["search", "--q", "3", "--n", "8", "--json",
                             "--budget", "500"])

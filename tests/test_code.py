@@ -86,6 +86,29 @@ def test_from_defining_set_validation():
         ConstacyclicCode.from_defining_set(F2, 3, [True])
 
 
+@pytest.mark.parametrize("p, m, n", [(2, 1, 7), (2, 1, 15), (3, 1, 8), (3, 1, 13),
+                                     (2, 2, 5), (2, 2, 15), (5, 1, 6), (5, 1, 12)])
+def test_recorded_defining_set_matches_the_generator(p, m, n):
+    # from_defining_set keeps the T it built g from; a code rebuilt from g
+    # alone derives its set, and the two must agree on every coset union
+    field = gf.extension_field(p, m)
+    cosets = poly.cyclotomic_cosets(n, field.q)
+    for chosen in itertools.product((False, True), repeat=len(cosets)):
+        T = {j for c, keep in zip(cosets, chosen) if keep for j in c.members}
+        built = ConstacyclicCode.from_defining_set(field, n, T)
+        rebuilt = ConstacyclicCode(field, n, 1, built.g)
+        assert built.defining_set() == rebuilt.defining_set() == frozenset(T)
+
+
+def test_a_defining_set_cannot_be_handed_to_the_constructor():
+    # a set handed in beside g would not be checked against g: T = {1..6} on
+    # the binary [7,4,3] Hamming code makes the BCH and HT bounds claim 7
+    g = Poly(F2, (1, 1, 0, 1))
+    with pytest.raises(TypeError):
+        ConstacyclicCode(F2, 7, 1, g, defining_set=frozenset(range(1, 7)))
+    assert ConstacyclicCode(F2, 7, 1, g).defining_set() == frozenset({1, 2, 4})
+
+
 def test_encode_basics():
     c = _example_15_11()
     assert c.encode([0] * 11) == (0,) * 15
