@@ -25,12 +25,19 @@ dispatches among four methods (strategy ``bounded`` picks ``bounded_weight``):
   window of k cyclically consecutive positions, each an information set
   too.  So after levels 1..t-1 a codeword with at most t - 1 nonzeros in
   some window has a shift that was already seen, and an unseen codeword
-  has >= t nonzeros in all n windows; each position lies in k of them, so
-  its Hamming weight is >= ceil(n t / k) and its pair weight one more
-  (pair weight >= weight + 1 for words that are neither zero nor
-  all-nonzero, and = n otherwise).  One rule serves both distances: stop
-  before level t once min(n, ceil(n t / k) + for_pair) >= best weight
-  seen (Brouwer-Zimmermann for cyclic codes; Grassl 2006).
+  has >= t nonzeros in all n windows.  Each position lies in k of them, so
+  its Hamming weight w is >= ceil(n t / k).  A window that covers one of
+  its zero runs still holds t nonzeros, so no zero run is longer than
+  k - t, and the n - w zeros fill at least (n - w) / (k - t) runs.  A word
+  that is neither zero nor all-nonzero has as many nonzero runs as zero
+  runs and pair weight w + (nonzero runs) (Chen-Lin-Liu, arXiv
+  1605.03460); w + ceil((n - w) / (k - t)) does not decrease in w, so the
+  pair floor is its value at w = ceil(n t / k).  Both floors are n once
+  ceil(n t / k) reaches n (an all-nonzero word has pair weight n).  One
+  rule serves both distances: stop before level t once the floor reaches
+  the best weight seen (Brouwer-Zimmermann for cyclic codes; Grassl
+  2006).  The floor is also the lower bound a ``BudgetExceededError``
+  reports and what ``auto`` counts levels with.
 * ``dependency`` — the parity side.  Pair weight depends only on the
   support S: f(S) = |S| + (circular runs of S) for S != Z_n, f(Z_n) = n,
   and adding a position never lowers f.  So d_p = min f(S) and d_H =
@@ -47,51 +54,63 @@ dispatches among four methods (strategy ``bounded`` picks ``bounded_weight``):
   cyclic codes: the residue-code product formula in :mod:`sympair.bounds`.
 
 Otherwise ``auto`` compares the two sides' worst-case costs, fixed before
-any work.  Both searches end by the level of g's own (pair) weight, top:
-g is a codeword, and x^(k-1) g a level-1 word.  The message side costs
-q^k - 1 encodings in one level when that is at most 4096 (and is then
-scanned exhaustively), else the normalised levels up to the window stop
-at top; it pays ``_LEVEL_US`` per level and ``_SYMBOL_US`` per encoded
-symbol (n per encoding), but not the standard form (about one level-1
-scan), so the choice reads only the code.  The parity side costs, per
-level D <= top, the number of run-start-at-0 supports of at most n - k + 1
-positions and cost <= D, at ``_REDUCTION_US`` each.  The cheaper side
-wins; ties go to the message side.  The unit costs, in
-microseconds for prime / extension fields, were measured once on a
-2-core Linux machine (CPython 3.11.7, numpy 2.4.6, one BLAS thread) by
-timing both sides of each of the 4101 ``auto`` calls of the three
-``bench`` workloads (best of 3) and fitting each side's time to its
-counts by non-negative least squares on relative error: 34 (Hamming) and
-69 (pair) per level, charged 50; 0.040 / 0.069 per symbol.  A
-reduction took 1.5 / 2.4, but the search ends at its first dependent
-support, and on the calls with over 300 worst-case reductions it did a
-median two thirds of them, so a worst-case reduction is charged 1.0 /
-1.5.  Bare counts are not enough: on small codes the level costs
-outweigh the encodings.
+any work.  Both searches end by the level of g's own (pair) weight, top: g
+is a codeword, and x^(k-1) g a level-1 word.  The message side costs
+q^k - 1 encodings in one level when that is at most 4096 (and is then scanned
+exhaustively), else the normalised levels up to the window stop at top; it
+pays ``_LEVEL_US`` per level (Hamming or pair) and ``_SYMBOL_US`` per
+encoded symbol (n per encoding), but neither the standard form (about one
+level-1 scan) nor the levels that the other distance may have kept, so the
+choice reads only the code.  The parity side costs, per level D <= top,
+the number of run-start-at-0 supports of at most n - k + 1 positions and
+cost <= D, at ``_REDUCTION_US`` each.  The cheaper side wins; ties go to
+the message side.  The unit costs, in microseconds for prime / extension
+fields, were measured once on a 2-core Linux machine (CPython 3.11.7,
+numpy 2.4.6, one BLAS thread) by timing both sides of each of the 4101
+``auto`` calls of the three ``bench`` workloads (best of 3) and fitting
+each side's time to its counts by non-negative least squares on relative
+error: 34 (Hamming) and 69 (pair) per level, charged 50 and 69; 0.040 /
+0.069 per symbol.  (At 50 a pair level, the run-aware floor sent
+``mds_3p_7(5)``'s pair call to the message side, where it cost more than
+the parity side it left.)  A reduction took 1.5 / 2.4, but the search ends
+at its first dependent support, and on the calls with over 300 worst-case
+reductions it did a median two thirds of them, so a worst-case reduction
+is charged 1.0 / 1.5.  Bare counts are not enough: on small codes the
+level costs outweigh the encodings.
 
 Both message-side scans run through one walker, ``_scan``: a weight level
 is many supports with a leading value 1 and values 1..q-1 after it, the
 exhaustive scan the one support of all k positions with values 0..q-1.  So
 a witness codeword, the argmin row, has one place to be kept for both
-(none is kept yet).  ``_blocks`` cuts a scan into blocks of at most
-``_CELL_BUDGET`` cells, its supports packed by one ``np.fromiter`` call.
-For prime fields a block is one batched float matmul, exact because every
-dot product is at most (q-1)^2 * t.  float32 is used while that stays
-below 2^24, float64 otherwise: float32 halves the bytes a block moves, and
-on full-size blocks the float32 kernel ran 2-28% faster than float64 (one
-thread, numpy 2.4).  The exact product is converted to int32 / int64 and
-reduced mod q in integers: ``np.remainder`` on the floats took about 25 ns
-a cell, against under 4 ns for the conversion and the integer remainder
-(2^18 float32 cells, one thread, numpy 2.4.6).  Extension fields
-accumulate by t rounds of ``np.take`` on the raveled add/mul tables, at
-index a*q + b; the tables, built once per field, hold that index in
-int16 while q^2 <= 2^15 and in int32 above (GF(256), GF(1024)).  The
-products come from the field's own exp/log tables.  ``_CELL_BUDGET``
-caps the cells of one block, and so peak memory.  At 2^18 cells the
-``low-rate`` benchmark workload peaks at 34.6 MB against 40.9 MB at 2^22,
-with the same median CPU time (0.369 s a pass; 4 alternating runs each, 2
-cores, CPython 3.11, numpy 2.4).  Levels are always scanned completely, in
-a fixed order, so results and enumeration counts are deterministic.
+(none is kept yet).  The block statistic gives both minima, and the code
+keeps each finished level's (least weight, least pair weight), the
+exhaustive scan counting as one level (``_level_minima``), as it keeps its
+standard form: ``analyze``'s second distance reads the levels its first
+one encoded.  The pair minimum of level t leaves out rows of weight above
+b - 2, b the least pair weight of levels 1..t-1, as a pair scan prunes at
+its own running best, so the kept value is the one a pair scan computes.
+Each distance still counts the levels its own proof needs and checks its
+budget before each of them, so values, counts and budget errors do not
+depend on which distance ran first.  ``_blocks`` cuts a scan into blocks
+of at most ``_CELL_BUDGET`` cells, its supports packed by one
+``np.fromiter`` call.  For prime fields a block is one batched float
+matmul, exact because every dot product is at most (q-1)^2 * t.  float32
+is used while that stays below 2^24, float64 otherwise: float32 halves the
+bytes a block moves, and on full-size blocks the float32 kernel ran 2-28%
+faster than float64 (one thread, numpy 2.4).  The exact product is
+converted to int32 / int64 and reduced mod q in integers: ``np.remainder``
+on the floats took about 25 ns a cell, against under 4 ns for the
+conversion and the integer remainder (2^18 float32 cells, one thread,
+numpy 2.4.6).  Extension fields accumulate by t rounds of ``np.take`` on
+the raveled add/mul tables, at index a*q + b; the tables, built once per
+field, hold that index in int16 while q^2 <= 2^15 and in int32 above
+(GF(256), GF(1024)).  The products come from the field's own exp/log
+tables.  ``_CELL_BUDGET`` caps the cells of one block, and so peak memory.
+At 2^18 cells the ``low-rate`` benchmark workload peaks at 34.6 MB against
+40.9 MB at 2^22, with the same median CPU time (0.369 s a pass; 4
+alternating runs each, 2 cores, CPython 3.11, numpy 2.4).  Levels are
+always scanned completely, in a fixed order, so results and enumeration
+counts are deterministic.
 """
 
 from __future__ import annotations
@@ -127,7 +146,7 @@ _AUTO_EXHAUSTIVE_LIMIT = 1 << 12
 
 #: auto's unit costs in microseconds, (prime field, extension field), as
 #: measured in the module docstring.
-_LEVEL_US = 50               # fixed cost of one message-side level
+_LEVEL_US = (50, 69)         # fixed cost of one message-side level (Hamming, pair)
 _SYMBOL_US = (0.04, 0.07)    # one encoded symbol (an encoding is n of them)
 _REDUCTION_US = (1.0, 1.5)   # one worst-case column reduction
 
@@ -262,6 +281,7 @@ class ConstacyclicCode:
         self.k = n - g.degree
         self._defining_set: frozenset[int] | None = None
         self._std_form: np.ndarray | None = None
+        self._levels: dict[int, tuple[int, int]] = {}  # filled by _level_minima
         # filled by bounds.repeated_root_shape / bounds.castagnoli_details
         self._shape = None
         self._castagnoli = None
@@ -463,9 +483,13 @@ def _level_size(q: int, k: int, t: int) -> int:
 
 def _window_floor(n: int, k: int, t: int, for_pair: bool) -> int:
     """Least (pair) weight of a nonzero codeword not seen in levels 1..t-1:
-    it has >= t nonzeros in each of the n cyclic windows of k positions
+    it has >= t nonzeros in each of the n cyclic windows of k positions, so
+    w >= ceil(n t / k) nonzeros and zero runs of at most k - t positions
     (the module docstring gives the argument)."""
-    return min(n, -(-n * t // k) + for_pair)
+    w = -(-n * t // k)
+    if w >= n:
+        return n
+    return w + -(-(n - w) // (k - t)) if for_pair else w
 
 
 @functools.lru_cache(maxsize=None)
@@ -560,39 +584,63 @@ def _blocks(supports, rows: range, n: int):
 
 
 def _scan(field: gf.Field, G: np.ndarray, supports, rows: range, base: int,
-          shift: int, row_stat) -> int:
-    """min of row_stat over the messages that carry rows ``rows`` of the
-    mixed-radix table of ``base`` (entries + shift) on every support."""
+          shift: int, row_stat) -> tuple[int, ...]:
+    """Elementwise min of the tuples row_stat gives over the messages that
+    carry rows ``rows`` of the mixed-radix table of ``base`` (entries +
+    shift) on every support."""
     stats = []
     for batch, sl in _blocks(supports, rows, G.shape[1]):
         powers = base ** np.arange(batch.shape[1] - 1, -1, -1, dtype=np.int64)
         idx = np.arange(sl.start, sl.stop, dtype=np.int64)
         digits = idx[:, None] // powers % base + shift
         stats.append(row_stat(_encode_block(field, G, digits, batch)))
-    return min(stats)
+    return tuple(map(min, zip(*stats)))
 
 
-def _stat_min_weight(nz: np.ndarray) -> int:
-    return int(nz.sum(axis=-1, dtype=np.int16).min())
+def _stat_minima(nz: np.ndarray, prune_above: int) -> tuple[int, int]:
+    """(least weight, least pair weight among the rows of weight <=
+    prune_above) of a block; the second is 1 << 30 when no row qualifies.
 
-
-def _stat_min_pair_weight(nz: np.ndarray, prune_above: int) -> int:
-    """Min pair weight among rows with Hamming weight <= prune_above.
-
-    Rows above the threshold have pair weight >= weight + 1 > prune_above + 1,
-    so they cannot improve any minimum the caller is tracking at or below
-    prune_above + 2.  Returns a large sentinel when no row qualifies.
+    Skipping the heavier rows is sound for a caller whose best pair weight
+    is prune_above + 2: they have pair weight >= weight + 1 >= that best.
     """
-    w = nz.sum(axis=-1, dtype=np.int16)
-    flat = nz.reshape(-1, nz.shape[-1])
-    wf = w.reshape(-1)
-    mask = wf <= prune_above
-    if not mask.any():
-        return 1 << 30
-    rows = flat[mask]
+    w = nz.sum(axis=-1, dtype=np.int16).reshape(-1)
+    keep = w <= prune_above
+    if not keep.any():
+        return int(w.min()), 1 << 30
+    rows = nz.reshape(-1, nz.shape[-1])[keep]
     starts = rows & ~np.roll(rows, 1, axis=1)
-    wp = wf[mask] + starts.sum(axis=1, dtype=np.int16)
-    return int(wp.min())
+    return int(w.min()), int((w[keep] + starts.sum(axis=1, dtype=np.int16)).min())
+
+
+def _level_minima(code: ConstacyclicCode, t: int) -> tuple[int, int]:
+    """(least weight, least pair weight) over level t of the message side,
+    t = 0 standing for the exhaustive scan of every nonzero message.  Each
+    level is encoded once per code and kept for both distances.
+
+    The pair minimum skips the rows of weight > b - 2, where b is the least
+    pair weight of levels 1..t-1 (n + 2 before level 1; the exhaustive scan
+    keeps every row).  A pair scan's running best before level t is that
+    b, so this is exactly the value the scan would compute itself.
+    """
+    levels = code._levels
+    if t not in levels:
+        field, q, k, n = code.field, code.field.q, code.k, code.n
+        if t == 0:
+            if q ** k > 1 << 62:
+                raise OutOfScopeError(f"q^k = {q ** k} overflows the exhaustive scanner")
+            supports, rows, base, shift, prune = [range(k)], range(1, q ** k), q, 0, n
+        else:
+            R = (q - 1) ** (t - 1)
+            if R > 1 << 48:
+                raise OutOfScopeError(
+                    f"level {t} has {R} value tuples; set a budget to keep scans sane")
+            # rows below (q-1)^(t-1) have leading digit 0: the first value is 1
+            supports, rows, base, shift = itertools.combinations(range(k), t), range(R), q - 1, 1
+            prune = min([n + 2] + [levels[s][1] for s in range(1, t)]) - 2
+        levels[t] = _scan(field, code.standard_form(), supports, rows, base, shift,
+                          lambda nz: _stat_minima(nz, prune))
+    return levels[t]
 
 
 def check_budget(value, name: str = "budget", least: int = 0) -> None:
@@ -754,7 +802,7 @@ def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) 
             levels = max(t for t in range(1, k + 1)
                          if t == 1 or _window_floor(n, k, t, for_pair) < top)
             encodings = sum(_level_size(q, k, t) for t in range(1, levels + 1))
-        message = _LEVEL_US * levels + _SYMBOL_US[ext] * n * encodings
+        message = _LEVEL_US[for_pair] * levels + _SYMBOL_US[ext] * n * encodings
         reductions = sum(worst for cost, worst in _dependency_levels(n, k, for_pair)
                          if cost <= top)
         return "dependency" if _REDUCTION_US[ext] * reductions < message else side
@@ -779,38 +827,25 @@ def _min_weight(code: ConstacyclicCode, strategy: str, budget: int | None,
     if resolved == "dependency":
         return _dependency_search(code, for_pair, budget)
 
-    field, q, k = code.field, code.field.q, code.k
-    G = code.standard_form()
+    q, k, n = code.field.q, code.k, code.n
     name = "pair" if for_pair else "Hamming"
-    best = code.n + 1 + for_pair  # sentinel: no codeword seen yet
-    # reads the current best: rows of Hamming weight > best - 2 have pair
-    # weight >= best and cannot lower it
-    stat = (lambda nz: _stat_min_pair_weight(nz, best - 2)) if for_pair else _stat_min_weight
     if resolved == "exhaustive":
         total = q ** k - 1
         _require_budget(0, total, budget, 1 + for_pair, None, f"exhaustive {name} scan")
-        if total >= 1 << 62:
-            raise OutOfScopeError(f"q^k = {total + 1} overflows the exhaustive scanner")
-        value = _scan(field, G, [range(k)], range(1, total + 1), q, 0, stat)
-        return DistanceResult(value, "exhaustive", total)
+        return DistanceResult(_level_minima(code, 0)[for_pair], "exhaustive", total)
 
+    best = n + 1 + for_pair  # sentinel: no codeword seen yet
     count = 0
     for t in range(1, k + 1):
-        floor = _window_floor(code.n, k, t, for_pair)
+        floor = _window_floor(n, k, t, for_pair)
         if floor >= best:
             break
         size = _level_size(q, k, t)
         _require_budget(count, size, budget, floor,  # floor < best here
-                        best if best <= code.n else None, f"bounded-weight {name} scan")
-        R = (q - 1) ** (t - 1)
-        if R > 1 << 48:
-            raise OutOfScopeError(
-                f"level {t} has {R} value tuples; set a budget to keep scans sane")
-        # rows below (q-1)^(t-1) have leading digit 0: the first value is 1
-        best = min(best, _scan(field, G, itertools.combinations(range(k), t), range(R),
-                               q - 1, 1, stat))
+                        best if best <= n else None, f"bounded-weight {name} scan")
+        best = min(best, _level_minima(code, t)[for_pair])
         count += size
-    assert best <= code.n, "a nonzero codeword must have been seen"
+    assert best <= n, "a nonzero codeword must have been seen"
     return DistanceResult(best, "bounded_weight", count)
 
 

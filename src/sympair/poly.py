@@ -107,7 +107,8 @@ class Poly:
 
     def coeff(self, i: int) -> int:
         """Coefficient of x^i (0 beyond the degree)."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        require_int(i, "coefficient index", least=0)
+        return self.coeffs[i] if i < len(self.coeffs) else 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -186,6 +187,10 @@ class Poly:
 
     def scale(self, c: int) -> "Poly":
         """Multiply by a field constant."""
+        return self._scaled(self.field.check(c))
+
+    def _scaled(self, c: int) -> "Poly":
+        """``scale`` by a constant known to be canonical, unchecked."""
         F = self.field
         return Poly._trusted(F, [F.mul(c, a) for a in self.coeffs])
 
@@ -239,7 +244,7 @@ class Poly:
             raise ZeroPolynomialError("the zero polynomial has no monic associate")
         if self.coeffs[-1] == 1:
             return self
-        return self.scale(self.field.inv(self.coeffs[-1]))
+        return self._scaled(self.field.inv(self.coeffs[-1]))
 
     def __call__(self, point: int) -> int:
         """Evaluate at a canonical integer by Horner's rule."""

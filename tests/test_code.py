@@ -605,7 +605,7 @@ def _bounded_levels(c, for_pair):
             by_window.setdefault(u, []).append(weight(word))
     levels, best = [], None
     for t in range(1, k + 1):
-        floor = min(n, -(-n * t // k) + for_pair)
+        floor = code._window_floor(n, k, t, for_pair)
         size, rest = divmod(len(by_window[t]), q - 1)  # one message per scalar class
         assert rest == 0 and size == code._level_size(q, k, t)
         levels.append((floor, best, size))
@@ -613,11 +613,19 @@ def _bounded_levels(c, for_pair):
     return levels
 
 
+def _ternary_28_6():
+    """A [28,6] code over GF(3) with lambda = 2 (d_H = 15, d_p = 20) whose
+    pair scan takes levels 1..3."""
+    g = Poly(F3, [2, 0, 2, 2, 0, 1, 2, 2, 2, 2, 2, 0, 1, 2, 1, 2, 1, 1, 0, 2, 1, 0, 1])
+    return ConstacyclicCode.from_generator(F3, 28, 2, g)
+
+
 def test_bounded_budget_stops_at_the_window_floor():
     cases = [
-        ConstacyclicCode.from_generator(F3, 13, 2, Poly(F3, [1, 0, 2, 1, 2, 0, 1])),  # pair: 3 levels
+        _ternary_28_6(),  # pair: 3 levels
+        ConstacyclicCode.from_generator(F3, 13, 2, Poly(F3, [1, 0, 2, 1, 2, 0, 1])),  # pair: 2 levels
         ConstacyclicCode.from_generator(F4, 9, 1, Poly(F4, [2, 3, 0, 3, 1])),
-        # k = 1, full support: the pair floor ceil(n t / k) + 1 is capped at n
+        # k = 1, full support: every floor is n
         ConstacyclicCode.from_generator(F5, 3, 2, Poly(F5, [4, 3, 1])),
     ]
     most = 0  # levels of the longest scan
@@ -646,6 +654,40 @@ def test_bounded_budget_stops_at_the_window_floor():
     with pytest.raises(errors.BudgetExceededError) as exc_info:
         code.min_pair_distance(k1, "bounded", budget=0)
     assert exc_info.value.lower_bound == k1.n
+
+
+def test_window_floors_hold_on_every_small_constacyclic_code():
+    """Every nonzero codeword with >= t nonzeros in each of the n cyclic
+    windows of k positions, the codewords the bounded scan has not seen
+    before level t, is at least as heavy as both floors say."""
+    codes = 0
+    lifted = set()  # (lambda, q) where the run count beats ceil(n t / k) + 1 on such a word
+    for field in (F2, F3, F4, F5, F9):
+        for n in range(2, 11):
+            for lam in range(1, field.q):
+                for c in code.divisor_codes(field, n, lam):
+                    k = c.k
+                    if k == n or field.q ** k > 1 << 8:
+                        continue
+                    codes += 1
+                    nz = np.array(list(c.codewords())) != 0
+                    nz = nz[nz.any(axis=1)]
+                    windows = (np.arange(n)[:, None] + np.arange(k)) % n
+                    fewest = nz[:, windows].sum(axis=2).min(axis=1)  # in the sparsest window
+                    weight = nz.sum(axis=1)
+                    pair = (nz | np.roll(nz, -1, axis=1)).sum(axis=1)  # nonzero pairs (w_i, w_i+1)
+                    for t in range(1, k + 1):
+                        unseen = fewest >= t
+                        if not unseen.any():
+                            break
+                        assert weight[unseen].min() >= code._window_floor(n, k, t, False) \
+                            == -(-n * t // k), (c, t)
+                        floor = code._window_floor(n, k, t, True)
+                        assert pair[unseen].min() >= floor, (c, t)
+                        if floor > -(-n * t // k) + 1:
+                            lifted.add((lam, field.q))
+    assert codes == 591
+    assert any(lam != 1 for lam, _q in lifted) and any(q == 4 for _lam, q in lifted)
 
 
 def _recorded_blocks(monkeypatch):
@@ -691,13 +733,13 @@ def test_walker_blocks_cover_each_level_once_within_budget(monkeypatch):
         q, k, n = c.field.q, c.k, c.n
         R = (q - 1) ** (t - 1)
         code._scan(c.field, c.standard_form(), itertools.combinations(range(k), t),
-                   range(R), q - 1, 1, code._stat_min_weight)
+                   range(R), q - 1, 1, lambda nz: code._stat_minima(nz, n))
         assert (R > code._CELL_BUDGET // n) == (shape == "sliced")
         assert len(blocks) > 1
         assert all(len(cols) > 1 for _d, cols, _n in blocks) == (shape == "batched")
         _check_level_blocks(blocks, k, t, q)
     # the levels of a real scan: this code's pair distance takes levels 1..3
-    ternary = ConstacyclicCode.from_generator(F3, 13, 2, Poly(F3, [1, 0, 2, 1, 2, 0, 1]))
+    ternary = _ternary_28_6()
     blocks = _recorded_blocks(monkeypatch)
     code.min_pair_distance(ternary, "bounded")
     levels = sorted({digits.shape[1] for digits, _c, _n in blocks})
@@ -725,6 +767,62 @@ def test_walker_exhaustive_scan_is_one_support(monkeypatch):
         assert digits.min() >= 0 and digits.max() <= q - 1
         seen.append(digits @ powers)
     assert np.array_equal(np.concatenate(seen), np.arange(1, q ** k))
+
+
+def _low_rate_codes():
+    """Two low-rate codes whose distances ``auto`` both puts on the message
+    side: GF(3), lambda = 2, [26,14] (Hamming levels 1..2, pair 1..3), and
+    GF(4) [17,8] (levels 1..3 for both)."""
+    return [ConstacyclicCode(F3, 26, 2, Poly(F3, [1, 0, 0, 0, 2, 0, 1, 0, 2, 0, 0, 0, 1])),
+            ConstacyclicCode(F4, 17, 1, Poly(F4, [1, 3, 3, 0, 2, 2, 0, 3, 3, 1]))]
+
+
+def test_analyze_encodes_each_message_side_level_once(monkeypatch):
+    from sympair import report
+    for c in _low_rate_codes():
+        blocks = _recorded_blocks(monkeypatch)
+        r = report.analyze(c)
+        assert r.d_hamming.method == r.d_pair.method == "bounded_weight"
+        levels = sorted({digits.shape[1] for digits, _c, _n in blocks})
+        assert levels == [1, 2, 3]
+        for t in levels:  # every (support, value row) once, over both distances
+            _check_level_blocks([b for b in blocks if b[0].shape[1] == t], c.k, t, c.field.q)
+        # each distance still reports the levels its own proof needs
+        for distance, alone in ((code.min_hamming_distance, r.d_hamming),
+                                (code.min_pair_distance, r.d_pair)):
+            assert distance(ConstacyclicCode(c.field, c.n, c.lam, c.g), "bounded") == alone
+    ternary = _low_rate_codes()[0]
+    assert report.analyze(ternary).d_hamming.enumeration_count == sum(
+        code._level_size(3, ternary.k, t) for t in (1, 2))
+
+
+def _outcome(distance, c, strategy, budget):
+    try:
+        return distance(c, strategy, budget=budget)
+    except errors.BudgetExceededError as exc:
+        return str(exc), exc.lower_bound, exc.upper_bound, exc.enumerated
+
+
+def test_distances_do_not_depend_on_which_ran_first():
+    hamming, pair = code.min_hamming_distance, code.min_pair_distance
+    for c0 in _low_rate_codes() + [_ternary_28_6()]:
+        def fresh():
+            return ConstacyclicCode(c0.field, c0.n, c0.lam, c0.g)
+        strategies = ["auto", "bounded"] + (["exhaustive"] if c0.field.q ** c0.k <= 1 << 12 else [])
+        for strategy in strategies:
+            full = {d: d(fresh(), strategy) for d in (hamming, pair)}
+            # no budget, one that stops before the last level, one that stops early
+            for budget in [None] + [b for r in full.values()
+                                    for b in (r.enumeration_count - 1, r.enumeration_count // 2)]:
+                alone = {d: _outcome(d, fresh(), strategy, budget) for d in (hamming, pair)}
+                for first, second in ((hamming, pair), (pair, hamming)):
+                    # the first distance runs to the end, or under the same budget
+                    for first_budget in (None, budget):
+                        c = fresh()
+                        assert _outcome(first, c, strategy, first_budget) == (
+                            full[first] if first_budget is None else alone[first])
+                        assert _outcome(second, c, strategy, budget) == alone[second], \
+                            (c, strategy, budget, second)
 
 
 def test_encode_block_matches_encode_at_every_dtype_boundary():

@@ -61,6 +61,8 @@ CASES = [
     ("gf.primitive_root_of_unity", "n", lambda v: gf.primitive_root_of_unity(F5, v), {}),
     ("gf.primitive_cube_root", "p", gf.primitive_cube_root, {}),
     ("poly.Poly.__pow__", "e", lambda v: Poly.x(F5) ** v, {"0": Poly.one(F5)}),
+    ("poly.Poly.scale", "c", lambda v: Poly(F5, (1, 2)).scale(v), {"0": Poly.zero(F5)}),
+    ("poly.Poly.coeff", "i", lambda v: Poly(F5, (1, 2)).coeff(v), {"0": 1, "10**30": 0}),
     ("poly.binomial", "n", lambda v: poly.binomial(F5, v, 1), {}),
     ("poly.binomial", "lam", lambda v: poly.binomial(F5, 3, v),
      {"0": Poly(F5, (0, 0, 0, 1))}),

@@ -319,3 +319,15 @@ def test_monic_and_scale():
     assert m == p.scale(F5.inv(4))
     assert p.leading_coeff == 4
     assert p.coeff(0) == 2 and p.coeff(7) == 0
+
+
+def test_scale_and_coeff_check_their_arguments():
+    # scale takes a canonical field element, coeff an index >= 0
+    for field, c in ((F9, 10), (F5, 7), (F5, True), (F5, -1), (F5, 1.5)):
+        with pytest.raises(errors.BadParameterError, match="field element"):
+            Poly(field, [1, 2]).scale(c)
+    for i in (1.5, -1, True, "0"):
+        with pytest.raises(errors.BadParameterError, match="coefficient index"):
+            Poly(F5, [1, 2]).coeff(i)
+    assert Poly(F9, [1, 2]).scale(8) == Poly(F9, [8, F9.mul(8, 2)])
+    assert Poly(F5, [1, 2]).coeff(1) == 2 and Poly(F5, [1, 2]).coeff(2) == 0
