@@ -77,7 +77,7 @@ def load_code_spec(source) -> ConstacyclicCode:
     if isinstance(source, (str, os.PathLike)):
         try:
             data = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # deep nesting
             raise BadParameterError(f"code spec {source} is not valid UTF-8 JSON: {exc}") from exc
         return code_from_spec_dict(data)
     raise BadParameterError(f"expected a path or dict, got {type(source).__name__}")

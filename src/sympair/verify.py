@@ -72,6 +72,8 @@ class CheckResult:
 
 def run_checks(only=None) -> list[CheckResult]:
     """Run every check in order, or only the named ones (an iterable)."""
+    if isinstance(only, str):  # would be iterated one character at a time
+        raise BadParameterError(f"only= takes a list of check names, got the string {only!r}")
     names = list(_CHECKS) if only is None else list(only)
     unknown = [n for n in names if n not in _CHECKS]
     if unknown:

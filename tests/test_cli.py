@@ -80,6 +80,14 @@ def test_analyze_non_utf8_spec_is_input_error(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+def test_deeply_nested_spec_is_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)  # json.loads raises RecursionError, not JSONDecodeError
+    rc = cli.main(["analyze", str(deep)])
+    assert rc == cli.EXIT_INPUT == 2
+    assert "is not valid UTF-8 JSON" in capsys.readouterr().err
+
+
 def test_analyze_budget_emits_partial_and_exit_3(tmp_path, capsys):
     spec = _write_spec(tmp_path, SPEC_15_11)
     rc, out = _run(capsys, ["analyze", spec, "--json", "--budget", "50"])
@@ -196,6 +204,11 @@ def test_verify_unknown_check_is_input_error(capsys):
     assert rc == 2
 
 
+def test_run_checks_rejects_a_bare_string():
+    with pytest.raises(sympair.errors.BadParameterError, match="list of check names"):
+        verify.run_checks(only="code-24-3-19-gf5")
+
+
 def test_verify_detects_tampered_expectations(capsys, monkeypatch):
     frozen = dict(verify.EXPECTED["code-24-3-19-gf5"])
     frozen["d_hamming"] = 18
@@ -287,8 +300,12 @@ def _limit_memory():  # a regression should fail the test, not fill the machine
     ["construct", "mds_n_6", "--q", "65536", "--n", str(2**32 - 1)],
     ["search", "--q", "2", "--n", str(10**12)],
     ["analyze", {"p": 2, "m": 1, "n": 10**12, "lambda": 1, "generator": [1, 1]}],
+    # valid codes whose parity-check matrix (deg g * n cells) is far above the cap:
+    # the binary [65536, 1] repetition code and the binary zero code of length 8192
+    ["analyze", {"p": 2, "m": 1, "n": 65536, "lambda": 1, "generator": [1] * 65536}],
+    ["analyze", {"p": 2, "m": 1, "n": 8192, "lambda": 1, "generator": [1] + [0] * 8191 + [1]}],
 ], ids=["construct-3p6-p", "construct-n6-q", "search-q", "analyze-p", "analyze-m",
-        "construct-n6-n", "search-n", "analyze-n"])
+        "construct-n6-n", "search-n", "analyze-n", "analyze-H-k1", "analyze-H-zero"])
 def test_huge_field_order_exits_2_quickly(tmp_path, argv):
     argv = [_write_spec(tmp_path, a) if isinstance(a, dict) else a for a in argv]
     src = str(pathlib.Path(sympair.__file__).parents[1])

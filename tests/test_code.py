@@ -61,6 +61,40 @@ def test_from_generator_rejects_non_divisor():
         ConstacyclicCode.from_generator(F5, 4, 0, Poly(F5, [1, 0, 1]))
 
 
+def test_divisor_check_and_columns_match_polynomial_division():
+    """Differential test of the construction walk against plain division:
+    the code exists exactly when g divides x^n - lambda, and column j of H
+    is x^j mod g."""
+    rng = random.Random(19)
+    for F in (F2, F5, gf.extension_field(2, 2), gf.extension_field(3, 2)):
+        x = Poly.x(F)
+        for n in range(1, 13):
+            for lam in range(1, F.q):
+                binomial = poly.binomial(F, n, lam)
+                factors = poly.factor(binomial).factors
+                gens = [Poly.one(F), binomial]
+                for _ in range(3):  # random divisors
+                    divisor = Poly.one(F)
+                    for f, m in factors:
+                        divisor = divisor * f ** rng.randrange(m + 1)
+                    gens.append(divisor)
+                for d in range(n + 1):
+                    for _ in range(2):
+                        gens.append(Poly(F, [rng.randrange(F.q) for _ in range(d)] + [1]))
+                for g in gens:
+                    if not (binomial % g).is_zero():
+                        with pytest.raises(errors.NotDivisorError):
+                            ConstacyclicCode(F, n, lam, g)
+                        continue
+                    c = ConstacyclicCode(F, n, lam, g)
+                    if not 1 <= c.k <= n - 1:
+                        continue
+                    H = c.parity_check_matrix()
+                    for j in range(n):
+                        col = (x ** j % g).coeffs
+                        assert H[:, j].tolist() == list(col) + [0] * (n - c.k - len(col))
+
+
 def test_from_defining_set_examples():
     c = _example_24_3()
     assert (c.n, c.k) == (24, 3)
