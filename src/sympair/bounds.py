@@ -10,13 +10,17 @@ codes with 0 < d_H < n:
   k > 1 and n - d_H >= 2k - 1.
 * ``repeated_root_pair_floor`` — for repeated-root cyclic codes of length
   l * p^e with d_H prime, d_p >= d_H + 3 when l < d_H < n - k (condition 1)
-  or when (x^l - 1) | g and 2 < d_H < n - k (condition 2).
+  or when the t = 0 residue code is zero, i.e. (x^l - 1) | g, and
+  2 < d_H < n - k (condition 2).
 
 ``castagnoli_distance`` computes the exact minimum Hamming distance of a
 repeated-root cyclic code as min over t of P_t * d_H(residue_t), where P_t
 multiplies (digit + 1) over the base-p digits of t and residue_t is the
-simple-root length-l code generated by the factors of g of multiplicity
-greater than t (distance infinity for the zero residue code).
+simple-root length-l code generated by g_t, the product of the irreducible
+factors of g of multiplicity greater than t (distance infinity for the zero
+residue code; Castagnoli-Massey-Schoeller-von Seemann, IEEE T-IT 37(2),
+1991).  No polynomial is factored: x^l - 1 is square-free, so the g_t come
+from one gcd chain, a_0 = g, g_t = gcd(a_t, x^l - 1), a_(t+1) = a_t / g_t.
 """
 
 from __future__ import annotations
@@ -86,14 +90,16 @@ def pair_distance_floor(n: int, k: int, d_hamming: int) -> PairDistanceFloor:
 class RepeatedRootShape:
     """Shape data of a repeated-root cyclic code: n = l * p^e, l > 1 coprime to p.
 
-    ``factors`` lists every monic irreducible factor of x^l - 1 (sorted by
-    degree, then coefficients) with its multiplicity in g, zeros included.
+    ``residue_generators`` holds the p^e monic residue generators g_t,
+    t = 0..p^e - 1: g_t is the product of the irreducible factors of g whose
+    multiplicity exceeds t, so g_0 = x^l - 1 exactly when the t = 0 residue
+    code is zero, and g = g_0 g_1 ... g_(p^e - 1).
     """
 
     field: gf.Field
     ell: int
     e: int
-    factors: tuple[tuple[poly.Poly, int], ...]
+    residue_generators: tuple[poly.Poly, ...]
 
     @property
     def p(self) -> int:
@@ -105,10 +111,14 @@ class RepeatedRootShape:
 
 
 def repeated_root_shape(code: ConstacyclicCode) -> RepeatedRootShape:
-    """Factor-multiplicity shape of a repeated-root cyclic code.
+    """Residue generators of a repeated-root cyclic code, from one gcd chain.
 
-    Raises NotRepeatedRootError unless the code is cyclic with n = l * p^e,
-    e >= 1 and l > 1.  Computed once per code object.
+    g divides x^n - 1 = (x^l - 1)^(p^e) (the constructor's walk proved it)
+    and x^l - 1 is square-free, so gcd(a_t, x^l - 1) takes each factor
+    still in a_t once: a_0 = g, g_t = gcd(a_t, x^l - 1), a_(t+1) = a_t / g_t,
+    ending at a_(p^e) = 1.  Raises NotRepeatedRootError unless the code is
+    cyclic with n = l * p^e, e >= 1 and l > 1.  Computed once per code
+    object.
     """
     if code._shape is not None:
         return code._shape
@@ -123,16 +133,15 @@ def repeated_root_shape(code: ConstacyclicCode) -> RepeatedRootShape:
         raise NotRepeatedRootError(
             f"n = {code.n} is a pure power of the characteristic; need l > 1 in n = l * p^e")
     ell, e = split
-    base_factors = poly.factor(poly.binomial(code.field, ell, 1))
-    assert base_factors.unit == 1
-    factors = tuple((f, poly.multiplicity(code.g, f)) for f, mult in base_factors)
-    # sanity: g is exactly the product of these factor powers
-    rebuilt = poly.Poly.one(code.field)
-    for f, mult in factors:
-        rebuilt = rebuilt * f ** mult
-    assert rebuilt == code.g, "generator must factor over x^l - 1"
-    assert all(mult <= code.field.p ** e for _, mult in factors)
-    code._shape = RepeatedRootShape(field=code.field, ell=ell, e=e, factors=factors)
+    base = poly.binomial(code.field, ell, 1)
+    generators, a = [], code.g
+    for _ in range(code.field.p ** e):
+        g_t = poly.poly_gcd(a, base)
+        generators.append(g_t)
+        a = a // g_t
+    assert a == poly.Poly.one(code.field), "g divides (x^l - 1)^(p^e)"
+    code._shape = RepeatedRootShape(field=code.field, ell=ell, e=e,
+                                    residue_generators=tuple(generators))
     return code._shape
 
 
@@ -148,16 +157,13 @@ def radix_p_product(t: int, p: int) -> int:
 
 
 def residue_code(shape: RepeatedRootShape | ConstacyclicCode, t: int) -> ConstacyclicCode:
-    """The simple-root length-l cyclic code generated by the factors of
-    multiplicity > t.  May be the zero code (k = 0) or the full space."""
+    """The simple-root length-l cyclic code generated by g_t, the product of
+    the factors of g of multiplicity > t (``residue_generators[t]``).  May be
+    the zero code (k = 0) or the full space."""
     if isinstance(shape, ConstacyclicCode):
         shape = repeated_root_shape(shape)
     require_int(t, "t", 0, shape.p ** shape.e - 1)
-    g_t = poly.Poly.one(shape.field)
-    for f, mult in shape.factors:
-        if mult > t:
-            g_t = g_t * f
-    return ConstacyclicCode(shape.field, shape.ell, 1, g_t)
+    return ConstacyclicCode(shape.field, shape.ell, 1, shape.residue_generators[t])
 
 
 @dataclass(frozen=True)
@@ -176,7 +182,8 @@ def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
 
     The distance is min over 0 <= t < p^e of P_t * d_H(residue_t); zero
     residue codes contribute INF and cannot all occur for a nonzero code.
-    Residue codes are simple-root, so ``auto`` certifies each distance on
+    Each distinct g_t is built into a code and certified once.  Residue
+    codes are simple-root, so ``auto`` certifies each distance on
     the cheaper of its message and parity sides; together they may spend
     at most ``budget`` units of work (encodings and column reductions).
     The result is kept on the code object, so later calls within budget
@@ -191,13 +198,13 @@ def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
     cache: dict[poly.Poly, int | float] = {}
     terms = []
     enumerated = 0
-    for t in range(shape.p ** shape.e):
-        res = residue_code(shape, t)
-        if res.g not in cache:
+    for t, g_t in enumerate(shape.residue_generators):
+        if g_t not in cache:
+            res = residue_code(shape, t)
             if res.k == 0:
-                cache[res.g] = INF
+                cache[g_t] = INF
             elif res.k == res.n:
-                cache[res.g] = 1
+                cache[g_t] = 1
             else:
                 remaining = None if budget is None else budget - enumerated
                 try:
@@ -206,12 +213,12 @@ def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
                     raise BudgetExceededError(
                         f"product formula, residue code t = {t}: {exc}",
                         lower_bound=1, enumerated=enumerated + exc.enumerated) from exc
-                cache[res.g] = result.value
+                cache[g_t] = result.value
                 enumerated += result.enumeration_count
-        d_t = cache[res.g]
+        d_t = cache[g_t]
         P_t = radix_p_product(t, shape.p)
         terms.append(CastagnoliTerm(
-            t=t, radix_product=P_t, residue_generator=res.g, residue_distance=d_t,
+            t=t, radix_product=P_t, residue_generator=g_t, residue_distance=d_t,
             contribution=INF if d_t is INF else P_t * d_t))
     value = min(term.contribution for term in terms)
     assert value is not INF, "a nonzero code has a nonzero residue code"
@@ -229,7 +236,7 @@ class RepeatedRootPairFloor:
     """d_p >= d_H + 3 floor for repeated-root cyclic codes with prime d_H."""
 
     applicable: bool
-    condition_used: int | None  # 1: l < d_H < n - k; 2: (x^l - 1) | g, 2 < d_H < n - k
+    condition_used: int | None  # 1: l < d_H < n - k; 2: zero t = 0 residue, 2 < d_H < n - k
     lower_bound: int | None
 
     def to_dict(self) -> dict:
@@ -239,15 +246,16 @@ class RepeatedRootPairFloor:
 
 def repeated_root_pair_floor(code: ConstacyclicCode, d_hamming: int) -> RepeatedRootPairFloor:
     """Check the repeated-root pair floor; inapplicable rather than guessed
-    when d_H is not prime or neither condition window holds."""
+    when d_H is not prime or neither condition holds.  Condition 2 asks that
+    the t = 0 residue code be zero: g_0 = x^l - 1, i.e. (x^l - 1) | g."""
     shape = repeated_root_shape(code)
     n, k = code.n, code.k
     if not gf.is_prime(require_int(d_hamming, "d_H", 1, n)):  # range before trial division
         return RepeatedRootPairFloor(False, None, None)
     if shape.ell < d_hamming < n - k:
         return RepeatedRootPairFloor(True, 1, d_hamming + 3)
-    # x^l - 1 is square-free, so it divides g iff each of its factors does
-    if all(m >= 1 for _f, m in shape.factors) and 2 < d_hamming < n - k:
+    if (shape.residue_generators[0] == poly.binomial(code.field, shape.ell, 1)
+            and 2 < d_hamming < n - k):
         return RepeatedRootPairFloor(True, 2, d_hamming + 3)
     return RepeatedRootPairFloor(False, None, None)
 

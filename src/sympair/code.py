@@ -8,13 +8,15 @@ steps are the columns x^j mod g of the parity-check matrix H, kept as
 tuples, and g divides x^n - lambda exactly when the walk ends at lambda
 (g = 1 passes), so the walk is also the divisor test.  It costs n deg g
 cells, so a code whose H would exceed ``_H_CELL_LIMIT`` = 2^24 cells raises
-``OutOfScopeError`` before it starts.  A 2^22-cell walk took 0.12-0.14 s
-with a sparse g (x^1024 - 1 over GF(2) and GF(5)) and 0.65 / 1.1 / 2.8 s
-with a random dense g over GF(5) / GF(4) / GF(9), and kept about 8 bytes a
-cell, about 32 over GF(65521), whose elements above 256 are separate int
-objects (CPython 3.11.7, one core).  As x^-k = lambda^-1 x^(n-k) modulo
-x^n - lambda, the standard form is [I_k | -lambda^-1 R^T], R the last k
-columns of H (systematic encoding; MacWilliams-Sloane, ch. 7).
+``OutOfScopeError`` before it starts.  Each step updates only g's nonzeros,
+by the row update the dependency search uses (``_axpy``).  A 2^22-cell walk
+took 0.10-0.11 s with a sparse g (x^1024 - 1 over GF(2) and GF(5)) and
+0.24 / 0.17 / 0.20 s with a random dense g over GF(5) / GF(4) / GF(9) (best
+of 3), and kept about 8 bytes a cell, about 32 over GF(65521), whose
+elements above 256 are separate int objects (CPython 3.11.7, one core).  As
+x^-k = lambda^-1 x^(n-k) modulo x^n - lambda, the standard form is
+[I_k | -lambda^-1 R^T], R the last k columns of H (systematic encoding;
+MacWilliams-Sloane, ch. 7).
 
 Distance engines
 ----------------
@@ -151,6 +153,9 @@ _CELL_BUDGET = 1 << 18
 
 #: Largest parity-check matrix (deg g * n cells) a code may walk at construction.
 _H_CELL_LIMIT = 1 << 24
+
+#: Largest extension field with add/mul tables (``_field_tables``).
+_TABLE_Q_LIMIT = 1024
 
 #: auto strategy uses exhaustive scan below this many codewords.
 _AUTO_EXHAUSTIVE_LIMIT = 1 << 12
@@ -291,12 +296,13 @@ class ConstacyclicCode:
             raise OutOfScopeError(f"parity-check matrix of {r} x {n} cells exceeds "
                                   f"the supported limit {_H_CELL_LIMIT}")
         # g divides x^n - lambda iff the walk ends at lambda mod g (lambda unless g = 1)
+        axpy, low = _axpy(field), [(i, b) for i, b in enumerate(g.coeffs[:r]) if b]
         rem, cols = [int(i == 0) for i in range(r)], []
         for _ in range(n):
             cols.append(tuple(rem))
             *rem, top = [0] + rem  # x rem = rem + top x^r, and x^r = x^r - g mod g
             if top:
-                rem = [field.sub(a, field.mul(top, b)) for a, b in zip(rem, g.coeffs)]
+                rem = axpy(rem, top, low)
         if r and rem != [lam] + [0] * (r - 1):
             raise NotDivisorError(f"{g} does not divide x^{n} - {lam} over {field!r}")
         self.field = field
@@ -520,9 +526,9 @@ def _field_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray]:
     mod p; products go through the field's own exp/log tables.
     """
     q, p = field.q, field.p
-    if q > 1024:
-        raise OutOfScopeError(
-            f"table arithmetic supports extension fields up to order 1024, got {q}")
+    if q > _TABLE_Q_LIMIT:
+        raise OutOfScopeError(f"table arithmetic supports extension fields up to "
+                              f"order {_TABLE_Q_LIMIT}, got {q}")
     values = np.arange(q, dtype=np.int64)
     add = np.zeros((q, q), dtype=np.int64)
     place = 1
@@ -544,14 +550,42 @@ def _field_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _row_tables(field: gf.Field) -> tuple[tuple, tuple]:
-    """``_field_tables`` as nested tuples for scalar updates, built once per
-    field: addition rows, and product rows with each entry negated."""
-    add_t, mul_t = _field_tables(field)
-    add_rows = add_t.tolist()
-    neg = [row.index(0) for row in add_rows]
-    return (tuple(map(tuple, add_rows)),
-            tuple(tuple(neg[v] for v in row) for row in mul_t.tolist()))
+def _axpy(field: gf.Field):
+    """The one row update w - c u, as a new list, over u's (index, value)
+    nonzeros: the construction walk's and the dependency search's.  Built
+    once per field: prime fields reduce mod p inline, extension fields up to
+    ``_TABLE_Q_LIMIT`` read ``_field_tables`` as nested tuples (addition
+    rows, and product rows with each entry negated), larger ones call
+    ``Field.sub`` and ``Field.mul``."""
+    if field.base is None:
+        p = field.q
+
+        def axpy(w, c, nonzeros):
+            w = list(w)
+            for i, b in nonzeros:
+                w[i] = (w[i] - c * b) % p
+            return w
+    elif field.q <= _TABLE_Q_LIMIT:
+        add_t, mul_t = _field_tables(field)
+        add_rows = tuple(map(tuple, add_t.tolist()))
+        neg = [row.index(0) for row in add_rows]
+        negmul_rows = tuple(tuple(neg[v] for v in row) for row in mul_t.tolist())
+
+        def axpy(w, c, nonzeros):
+            nm = negmul_rows[c]
+            w = list(w)
+            for i, b in nonzeros:
+                w[i] = add_rows[w[i]][nm[b]]
+            return w
+    else:
+        sub, mul = field.sub, field.mul
+
+        def axpy(w, c, nonzeros):
+            w = list(w)
+            for i, b in nonzeros:
+                w[i] = sub(w[i], mul(c, b))
+            return w
+    return axpy
 
 
 def _encode_block(field: gf.Field, G: np.ndarray, digits: np.ndarray,
@@ -731,25 +765,7 @@ def _dependency_search(code: ConstacyclicCode, for_pair: bool,
     n, k = code.n, code.k
     F = code.field
     cols = code._columns
-    # w - c u over u's (index, value) nonzeros: H's unit columns keep many sparse
-    if F.base is None:
-        p = F.q
-
-        def axpy(w, c, nonzeros):
-            w = list(w)
-            for i, b in nonzeros:
-                w[i] = (w[i] - c * b) % p
-            return w
-    else:
-        add_rows, negmul_rows = _row_tables(F)
-
-        def axpy(w, c, nonzeros):
-            nm = negmul_rows[c]
-            w = list(w)
-            for i, b in nonzeros:
-                w[i] = add_rows[w[i]][nm[b]]
-            return w
-
+    axpy = _axpy(F)  # over u's nonzeros: H's unit columns keep many sparse
     count = 0
 
     def reduce_by(u, cand, start, j, cost):

@@ -133,7 +133,8 @@ def test_out_of_range_arguments_fail_fast(call, error):
 def test_repeated_root_shape_examples():
     s = bounds.repeated_root_shape(_example_15_11())
     assert (s.p, s.ell, s.e, s.n) == (5, 3, 1, 15)
-    assert [(f.coeffs, m) for f, m in s.factors] == [((4, 1), 2), ((1, 1, 1), 1)]
+    x, one = Poly.x(F5), Poly.one(F5)
+    assert s.residue_generators == (x**3 - one, x - one, one, one, one)
 
     s21 = bounds.repeated_root_shape(_example_21_14())
     assert (s21.p, s21.ell, s21.e) == (7, 3, 1)
@@ -199,6 +200,43 @@ def test_castagnoli_agrees_with_exhaustive_small():
         agreements += 1
     # x^6 - 1 = (x-1)^3 (x+1)^3 over GF(3): 4 * 4 multiplicity choices minus the two trivial codes
     assert agreements == 14
+
+
+def _residue_generators_by_factoring(c):
+    """The g_t as the definition gives them: over the irreducible factors f
+    of x^l - 1, the product of those with multiplicity(g, f) > t."""
+    ell, e = c.repeated_root_split
+    factors = [f for f, _m in poly.factor(poly.binomial(c.field, ell, 1))]
+    mults = [poly.multiplicity(c.g, f) for f in factors]
+    out = []
+    for t in range(c.field.p ** e):
+        g_t = Poly.one(c.field)
+        for f, m in zip(factors, mults):
+            if m > t:
+                g_t = g_t * f
+        out.append(g_t)
+    return tuple(out)
+
+
+def test_residue_generator_chain_matches_factoring():
+    """Differential test of the gcd chain against factoring x^l - 1, and of
+    the product formula against the dependency search, on every repeated-root
+    cyclic code of small length over prime and extension fields."""
+    cases = [(gf.prime_field(p), n) for p in (2, 3, 5) for n in (6, 10, 12)]
+    cases += [(gf.extension_field(p, 2), n) for p in (2, 3) for n in (6, 10)]
+    checked = deep = 0
+    for field, n in cases:
+        for c in code.divisor_codes(field, n, 1):
+            if c.repeated_root_split is None:
+                continue
+            shape = bounds.repeated_root_shape(c)
+            assert shape.residue_generators == _residue_generators_by_factoring(c)
+            assert (bounds.castagnoli_distance(c)
+                    == code.min_hamming_distance(c, "dependency").value)
+            checked += 1
+            deep += shape.e == 2
+    assert checked == 220  # 211 proper codes and 9 full spaces
+    assert deep > 0
 
 
 def test_castagnoli_large_residue_code_agrees_with_bounded():

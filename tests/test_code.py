@@ -95,6 +95,44 @@ def test_divisor_check_and_columns_match_polynomial_division():
                         assert H[:, j].tolist() == list(col) + [0] * (n - c.k - len(col))
 
 
+def test_columns_above_the_table_limit_match_polynomial_division():
+    """GF(2^11) has no add/mul tables (order > 1024): the construction walk
+    updates its rows through ``Field.sub`` and ``Field.mul``."""
+    F = gf.extension_field(2, 11)
+    x = Poly.x(F)
+    roots = gf.nth_roots_of_unity(F, 23)  # 23 | 2^11 - 1: x^23 - 1 splits
+    rng = random.Random(11)
+    for size in (1, 5, 11, 22):
+        g = Poly.one(F)
+        for root in rng.sample(roots, size):
+            g = g * (x - Poly(F, [root]))
+        H = ConstacyclicCode(F, 23, 1, g).parity_check_matrix()
+        for j in range(23):
+            col = (x ** j % g).coeffs
+            assert H[:, j].tolist() == list(col) + [0] * (size - len(col))
+
+
+@pytest.mark.parametrize("p, m", [(2, 11), (3, 7)])
+def test_dependency_search_above_the_table_limit_matches_codewords(p, m):
+    """Over GF(2^11) and GF(3^7) the dependency search's row updates go
+    through ``Field.sub`` and ``Field.mul``; on k = 1 codes, g = (x^n - c^n)
+    / (x - c), both distances equal a pass over every codeword."""
+    F = gf.extension_field(p, m)
+    x = Poly.x(F)
+    rng = random.Random(F.q)
+    for n in (2, 3, 5, 6):
+        root = rng.randrange(1, F.q)
+        lam = F.pow(root, n)
+        g = poly.binomial(F, n, lam) // (x - Poly(F, [root]))
+        c = ConstacyclicCode(F, n, lam, g)
+        assert c.k == 1
+        words = [w for w in c.codewords() if any(w)]
+        hamming = code.min_hamming_distance(c, "dependency")
+        pair = code.min_pair_distance(c, "dependency")
+        assert hamming.value == min(map(code.hamming_weight, words))
+        assert pair.value == min(map(code.pair_weight, words))
+
+
 def test_from_defining_set_examples():
     c = _example_24_3()
     assert (c.n, c.k) == (24, 3)

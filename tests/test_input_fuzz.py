@@ -4,16 +4,22 @@ awkward values, either raises a SymPairError or returns the right answer.
 ``CASES`` is the fuzz table, one row per (callable, integer parameter).
 ``test_fuzz_table_covers_every_integer_parameter`` walks ``sympair.__all__``
 so that a new integer parameter cannot be left out of it.
+
+The command line gets the same treatment: every key of a spec file and
+every integer flag of ``construct`` and ``search``, fed awkward values
+through ``cli.main``, exits 2 with ``error:`` on stderr unless the value is
+valid, and never raises.
 """
 
 import dataclasses
 import inspect
+import json
 import re
 
 import pytest
 
 import sympair
-from sympair import bounds, code, constructions, errors, gf, poly, report
+from sympair import bounds, cli, code, constructions, errors, gf, poly, report
 from sympair.code import ConstacyclicCode
 from sympair.poly import Poly
 
@@ -220,3 +226,99 @@ def test_integer_arguments_raise_or_answer(target, param, call, accepted):
         else:
             assert label in accepted, f"{target}({param}={label}) returned {result!r}"
             assert result == accepted[label], f"{target}({param}={label})"
+
+
+# ----------------------------------------------------------------------
+# spec files and command-line flags
+
+#: label -> JSON value for a spec key: VALUES' scalars, a nested list, and
+#: a one-element list of each of those.
+SPEC_SCALARS = {label: value for label, value in VALUES.items() if label not in ("False", "2.0")}
+SPEC_SCALARS["[[1, [2]]]"] = [[1, [2]]]
+SPEC_VALUES = dict(SPEC_SCALARS)
+SPEC_VALUES.update({f"[{label}]": [value] for label, value in SPEC_SCALARS.items()})
+
+#: The two spec forms, each valid as it stands.
+SPEC_FORMS = {
+    "generator": {"p": 5, "m": 1, "n": 15, "lambda": 1, "generator": [1, 4, 0, 4, 1]},
+    "defining_set": {"p": 5, "m": 1, "n": 24,
+                     "defining_set": sorted(set(range(24)) - {0, 19, 23})},
+}
+
+#: (form, key) -> labels of the values that make a valid spec: under
+#: ``--budget 0`` its analysis exits 3.  Every other value must exit 2.
+SPEC_CASES = {(form, key): set() for form, spec in SPEC_FORMS.items()
+              for key in dict.fromkeys([*spec, "lambda"])}
+SPEC_CASES["defining_set", "defining_set"] = {"[0]"}  # {0}: the code generated by x - 1
+
+
+def _cli(capsys, argv):
+    """Exit code and stderr of one ``cli.main`` run.  Any exception other
+    than argparse's SystemExit propagates and fails the test."""
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value that is not an int
+        rc = exc.code
+    return rc, capsys.readouterr().err
+
+
+def _check_exit(rc, err, expected, what):
+    assert rc == expected, f"{what}: exit {rc}, {err!r}"
+    if expected == cli.EXIT_INPUT:
+        assert "error: " in err, f"{what}: {err!r}"  # ours, or argparse's usage error
+
+
+def test_spec_fuzz_cases_cover_every_spec_key():
+    assert {key for _form, key in SPEC_CASES} == report._SPEC_KEYS
+
+
+@pytest.mark.parametrize("form, key", SPEC_CASES, ids=[f"{f}-{k}" for f, k in SPEC_CASES])
+def test_spec_file_values_exit_2_unless_valid(tmp_path, capsys, form, key):
+    path = tmp_path / "code.json"
+    valid = SPEC_CASES[form, key]
+    assert valid <= set(SPEC_VALUES)
+    for label, value in SPEC_VALUES.items():
+        path.write_text(json.dumps({**SPEC_FORMS[form], key: value}))
+        rc, err = _cli(capsys, ["analyze", str(path), "--budget", "0"])
+        expected = cli.EXIT_BUDGET if label in valid else cli.EXIT_INPUT
+        _check_exit(rc, err, expected, f"{form} spec, {key} = {label}")
+
+
+@pytest.mark.parametrize("text", ["[]", json.dumps([SPEC_FORMS["generator"]]), "1", "1.5",
+                                  '"code"', "null", "true", "", "{", '{"p": 5,}'])
+def test_spec_file_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "code.json"
+    path.write_text(text)
+    rc, err = _cli(capsys, ["analyze", str(path)])
+    _check_exit(rc, err, cli.EXIT_INPUT, f"spec file {text!r}")
+
+
+#: Command-line values for an integer flag; only an int string gets past argparse.
+FLAG_VALUES = ["True", "1.5", "3.0", "abc", "None", "", "[1, [2]]", "-1", "0", str(10**30)]
+
+#: (argv with FLAG in place of the fuzzed value, {valid value: exit code}); every
+#: other value must exit 2.  ``--budget 0`` makes a valid run exit 3 at its
+#: first unit of work; a fuzzed ``--budget`` of 10**30 is a full run.
+FLAG_CASES = [
+    (["construct", "mds_3p_6", "--p", "FLAG", "--budget", "0"], {}),
+    (["construct", "mds_3p_7", "--p", "FLAG", "--budget", "0"], {}),
+    (["construct", "mds_3p_8", "--p", "FLAG", "--budget", "0"], {}),
+    (["construct", "mds_n_6", "--q", "FLAG", "--n", "8", "--budget", "0"], {}),
+    (["construct", "mds_n_6", "--q", "3", "--n", "FLAG", "--budget", "0"], {}),
+    (["construct", "mds_3p_6", "--p", "5", "--budget", "FLAG"], {"0": 3, str(10**30): 0}),
+    (["search", "--q", "FLAG", "--n", "6", "--budget", "0"], {}),
+    (["search", "--q", "2", "--n", "FLAG", "--budget", "0"], {}),
+    (["search", "--q", "2", "--n", "6", "--max-codes", "FLAG", "--budget", "0"],
+     {str(10**30): 3}),
+    (["search", "--q", "2", "--n", "6", "--budget", "FLAG"], {"0": 3, str(10**30): 0}),
+]
+
+
+@pytest.mark.parametrize("argv, valid", FLAG_CASES, ids=[
+    "-".join(a for a in argv if a not in ("FLAG", "--budget", "0")) for argv, _v in FLAG_CASES])
+def test_integer_flag_values_exit_2_unless_valid(capsys, argv, valid):
+    assert set(valid) <= set(FLAG_VALUES)
+    for value in FLAG_VALUES:
+        args = [value if a == "FLAG" else a for a in argv]
+        rc, err = _cli(capsys, args)
+        _check_exit(rc, err, valid.get(value, cli.EXIT_INPUT), " ".join(args))
