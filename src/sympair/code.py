@@ -9,14 +9,17 @@ tuples, and g divides x^n - lambda exactly when the walk ends at lambda
 (g = 1 passes), so the walk is also the divisor test.  It costs n deg g
 cells, so a code whose H would exceed ``_H_CELL_LIMIT`` = 2^24 cells raises
 ``OutOfScopeError`` before it starts.  Each step updates only g's nonzeros,
-by the row update the dependency search uses (``_axpy``).  A 2^22-cell walk
-took 0.10-0.11 s with a sparse g (x^1024 - 1 over GF(2) and GF(5)) and
-0.24 / 0.17 / 0.20 s with a random dense g over GF(5) / GF(4) / GF(9) (best
-of 3), and kept about 8 bytes a cell, about 32 over GF(65521), whose
-elements above 256 are separate int objects (CPython 3.11.7, one core).  As
-x^-k = lambda^-1 x^(n-k) modulo x^n - lambda, the standard form is
-[I_k | -lambda^-1 R^T], R the last k columns of H (systematic encoding;
-MacWilliams-Sloane, ch. 7).
+by the row update the dependency search uses (``_axpy``): mod p over prime
+fields, by Zech logarithms in O(q) memory over every extension field.  A
+2^22-cell walk took 0.10-0.11 s with a sparse g (x^1024 - 1 over GF(2) and
+GF(5)).  With a random dense g of degree 1024 it took 0.20 s over GF(5) and
+0.24 / 0.29 / 0.42 s over GF(4) / GF(9) / GF(2^10), where q x q tables took
+0.16 / 0.19 / 0.81 s but cost the first GF(2^10) code 0.3 s and 109 MB to
+build (best of 3).  The walk kept about 8 bytes a cell, about 32 over
+GF(65521), whose elements above 256 are separate int objects (CPython
+3.11.7, one core).  As x^-k = lambda^-1 x^(n-k) modulo x^n - lambda, the
+standard form is [I_k | -lambda^-1 R^T], R the last k columns of H
+(systematic encoding; MacWilliams-Sloane, ch. 7).
 
 Distance engines
 ----------------
@@ -96,13 +99,10 @@ a witness codeword, the argmin row, has one place to be kept for both
 keeps each finished level's (least weight, least pair weight), the
 exhaustive scan counting as one level (``_level_minima``), as it keeps its
 standard form: ``analyze``'s second distance reads the levels its first
-one encoded.  The pair minimum of level t leaves out rows of weight above
-b - 2, b the least pair weight of levels 1..t-1, as a pair scan prunes at
-its own running best, so the kept value is the one a pair scan computes.
-Each distance still counts the levels its own proof needs and checks its
-budget before each of them, so values, counts and budget errors do not
-depend on which distance ran first.  ``_blocks`` cuts a scan into blocks
-of at most ``_CELL_BUDGET`` cells, its supports packed by one
+one encoded.  Each distance still counts the levels its own proof needs
+and checks its budget before each of them, so values, counts and budget
+errors do not depend on which distance ran first.  ``_blocks`` cuts a scan
+into blocks of at most ``_CELL_BUDGET`` cells, its supports packed by one
 ``np.fromiter`` call.  For prime fields a block is one batched float
 matmul, exact because every dot product is at most (q-1)^2 * t.  float32
 is used while that stays below 2^24, float64 otherwise: float32 halves the
@@ -115,7 +115,15 @@ numpy 2.4.6).  Extension fields accumulate by t rounds of ``np.take`` on
 the raveled add/mul tables, at index a*q + b; the tables, built once per
 field, hold that index in int16 while q^2 <= 2^15 and in int32 above
 (GF(256), GF(1024)).  The products come from the field's own exp/log
-tables.  ``_CELL_BUDGET`` caps the cells of one block, and so peak memory.
+tables.  These q x q tables serve this kernel alone, because both O(q)
+kernels tried were slower on GF(4), GF(8), GF(9), GF(16) and GF(256)
+blocks of 200 to 612k cells: the standard form's GF(p) image as one float
+matmul by 1.1-7.6x, and int64 accumulation of base-p digits spread into
+bit fields by 1.0-4.4x (best of 5, one thread, numpy 2.4.6).  They exist
+up to ``_TABLE_Q_LIMIT`` = 1024, so over larger extension fields both
+scans raise ``OutOfScopeError``, and ``auto`` offers them only where the
+kernel has tables: above that order it takes the dependency search.
+``_CELL_BUDGET`` caps the cells of one block, and so peak memory.
 At 2^18 cells the ``low-rate`` benchmark workload peaks at 34.6 MB against
 40.9 MB at 2^22, with the same median CPU time (0.369 s a pass; 4
 alternating runs each, 2 cores, CPython 3.11, numpy 2.4).  Levels are
@@ -154,7 +162,8 @@ _CELL_BUDGET = 1 << 18
 #: Largest parity-check matrix (deg g * n cells) a code may walk at construction.
 _H_CELL_LIMIT = 1 << 24
 
-#: Largest extension field with add/mul tables (``_field_tables``).
+#: Largest extension field with the message-side kernel's q x q add/mul
+#: tables (``_field_tables``); ``auto`` offers the scans only up to it.
 _TABLE_Q_LIMIT = 1024
 
 #: auto strategy uses exhaustive scan below this many codewords.
@@ -518,9 +527,11 @@ def _window_floor(n: int, k: int, t: int, for_pair: bool) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _field_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only addition and multiplication tables of an extension field,
-    built once per field, in the narrowest dtype that holds an index
-    a*q + b into their raveled form: int16 while q^2 <= 2^15, else int32.
+    """Read-only addition and multiplication tables of an extension field
+    for the message-side kernel (``_encode_block``), its only reader, built
+    once per field up to ``_TABLE_Q_LIMIT``, in the narrowest dtype that
+    holds an index a*q + b into their raveled form: int16 while q^2 <= 2^15,
+    else int32.
 
     Canonical integers are base-p digit vectors, so addition is digitwise
     mod p; products go through the field's own exp/log tables.
@@ -553,10 +564,15 @@ def _field_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray]:
 def _axpy(field: gf.Field):
     """The one row update w - c u, as a new list, over u's (index, value)
     nonzeros: the construction walk's and the dependency search's.  Built
-    once per field: prime fields reduce mod p inline, extension fields up to
-    ``_TABLE_Q_LIMIT`` read ``_field_tables`` as nested tuples (addition
-    rows, and product rows with each entry negated), larger ones call
-    ``Field.sub`` and ``Field.mul``."""
+    once per field, in O(q) memory at every order.  Prime fields reduce mod
+    p inline.  Extension fields use Zech logarithms (Huber, IEEE T-IT 36(4),
+    1990), read from the field's exp/log lists: with gen the field's
+    generator, z[d] = log(1 + gen^d).  -c b = gen^y for y = log c + log b +
+    log(-1), so w_i - c b is gen^y when w_i = 0, else gen^(log w_i + z[y -
+    log w_i]) (exponents mod q - 1).  Where 1 + gen^d = 0, z[d] is 2(q - 1),
+    which lands in a tail of q - 1 zeros after exp, doubled so that no sum
+    of two exponents needs a reduction; z is doubled too, and a negative
+    y - log w_i reads its upper copy."""
     if field.base is None:
         p = field.q
 
@@ -565,26 +581,25 @@ def _axpy(field: gf.Field):
             for i, b in nonzeros:
                 w[i] = (w[i] - c * b) % p
             return w
-    elif field.q <= _TABLE_Q_LIMIT:
-        add_t, mul_t = _field_tables(field)
-        add_rows = tuple(map(tuple, add_t.tolist()))
-        neg = [row.index(0) for row in add_rows]
-        negmul_rows = tuple(tuple(neg[v] for v in row) for row in mul_t.tolist())
+        return axpy
+    field._ensure_tables()
+    q1, log = field.q - 1, field._log
+    zech = [log[s] if (s := field.add(1, e)) else 2 * q1 for e in field._exp] * 2
+    exp = field._exp * 2 + [0] * q1
+    log_minus_one = 0 if field.p == 2 else q1 // 2
 
-        def axpy(w, c, nonzeros):
-            nm = negmul_rows[c]
-            w = list(w)
-            for i, b in nonzeros:
-                w[i] = add_rows[w[i]][nm[b]]
-            return w
-    else:
-        sub, mul = field.sub, field.mul
-
-        def axpy(w, c, nonzeros):
-            w = list(w)
-            for i, b in nonzeros:
-                w[i] = sub(w[i], mul(c, b))
-            return w
+    def axpy(w, c, nonzeros):
+        y0 = (log[c] + log_minus_one) % q1
+        w = list(w)
+        for i, b in nonzeros:
+            y = y0 + log[b]
+            a = w[i]
+            if a:
+                la = log[a]
+                w[i] = exp[la + zech[y - la]]
+            else:
+                w[i] = exp[y]
+        return w
     return axpy
 
 
@@ -636,52 +651,39 @@ def _blocks(supports, rows: range, n: int):
 
 
 def _scan(field: gf.Field, G: np.ndarray, supports, rows: range, base: int,
-          shift: int, row_stat) -> tuple[int, ...]:
-    """Elementwise min of the tuples row_stat gives over the messages that
-    carry rows ``rows`` of the mixed-radix table of ``base`` (entries +
-    shift) on every support."""
+          shift: int) -> tuple[int, int]:
+    """(least weight, least pair weight) over the messages that carry rows
+    ``rows`` of the mixed-radix table of ``base`` (entries + shift) on every
+    support."""
     stats = []
     for batch, sl in _blocks(supports, rows, G.shape[1]):
         powers = base ** np.arange(batch.shape[1] - 1, -1, -1, dtype=np.int64)
         idx = np.arange(sl.start, sl.stop, dtype=np.int64)
         digits = idx[:, None] // powers % base + shift
-        stats.append(row_stat(_encode_block(field, G, digits, batch)))
+        stats.append(_stat_minima(_encode_block(field, G, digits, batch)))
     return tuple(map(min, zip(*stats)))
 
 
-def _stat_minima(nz: np.ndarray, prune_above: int) -> tuple[int, int]:
-    """(least weight, least pair weight among the rows of weight <=
-    prune_above) of a block; the second is 1 << 30 when no row qualifies.
-
-    Skipping the heavier rows is sound for a caller whose best pair weight
-    is prune_above + 2: they have pair weight >= weight + 1 >= that best.
-    """
-    w = nz.sum(axis=-1, dtype=np.int16).reshape(-1)
-    keep = w <= prune_above
-    if not keep.any():
-        return int(w.min()), 1 << 30
-    rows = nz.reshape(-1, nz.shape[-1])[keep]
+def _stat_minima(nz: np.ndarray) -> tuple[int, int]:
+    """(least weight, least pair weight) of a block of nonzero codewords,
+    given as their nonzero masks."""
+    rows = nz.reshape(-1, nz.shape[-1])
+    w = rows.sum(axis=1, dtype=np.int16)
     starts = rows & ~np.roll(rows, 1, axis=1)
-    return int(w.min()), int((w[keep] + starts.sum(axis=1, dtype=np.int16)).min())
+    return int(w.min()), int((w + starts.sum(axis=1, dtype=np.int16)).min())
 
 
 def _level_minima(code: ConstacyclicCode, t: int) -> tuple[int, int]:
     """(least weight, least pair weight) over level t of the message side,
     t = 0 standing for the exhaustive scan of every nonzero message.  Each
-    level is encoded once per code and kept for both distances.
-
-    The pair minimum skips the rows of weight > b - 2, where b is the least
-    pair weight of levels 1..t-1 (n + 2 before level 1; the exhaustive scan
-    keeps every row).  A pair scan's running best before level t is that
-    b, so this is exactly the value the scan would compute itself.
-    """
+    level is encoded once per code and kept for both distances."""
     levels = code._levels
     if t not in levels:
-        field, q, k, n = code.field, code.field.q, code.k, code.n
+        field, q, k = code.field, code.field.q, code.k
         if t == 0:
             if q ** k > 1 << 62:
                 raise OutOfScopeError(f"q^k = {q ** k} overflows the exhaustive scanner")
-            supports, rows, base, shift, prune = [range(k)], range(1, q ** k), q, 0, n
+            supports, rows, base, shift = [range(k)], range(1, q ** k), q, 0
         else:
             R = (q - 1) ** (t - 1)
             if R > 1 << 48:
@@ -689,9 +691,7 @@ def _level_minima(code: ConstacyclicCode, t: int) -> tuple[int, int]:
                     f"level {t} has {R} value tuples; set a budget to keep scans sane")
             # rows below (q-1)^(t-1) have leading digit 0: the first value is 1
             supports, rows, base, shift = itertools.combinations(range(k), t), range(R), q - 1, 1
-            prune = min([n + 2] + [levels[s][1] for s in range(1, t)]) - 2
-        levels[t] = _scan(field, code.standard_form(), supports, rows, base, shift,
-                          lambda nz: _stat_minima(nz, prune))
+        levels[t] = _scan(field, code.standard_form(), supports, rows, base, shift)
     return levels[t]
 
 
@@ -825,6 +825,8 @@ def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) 
             return "castagnoli"
         q, n, k = code.field.q, code.n, code.k
         ext = code.field.base is not None
+        if ext and q > _TABLE_Q_LIMIT:  # the message side has no tables here
+            return "dependency"
         # g is a codeword, and x^(k-1) g a level-1 word of the same weights,
         # so either side's search ends by the level of g's own weight
         word = code.g.coeffs + (0,) * (n - len(code.g.coeffs))

@@ -95,28 +95,42 @@ def test_divisor_check_and_columns_match_polynomial_division():
                         assert H[:, j].tolist() == list(col) + [0] * (n - c.k - len(col))
 
 
-def test_columns_above_the_table_limit_match_polynomial_division():
-    """GF(2^11) has no add/mul tables (order > 1024): the construction walk
-    updates its rows through ``Field.sub`` and ``Field.mul``."""
-    F = gf.extension_field(2, 11)
+#: Extension fields for the row-update tests: (p, m) of orders 4 to 2187,
+#: on both sides of ``_TABLE_Q_LIMIT``; one row update serves them all.
+EXTENSION_FIELDS = [(2, 2), (3, 2), (2, 8), (5, 2), (2, 11), (3, 7)]
+
+
+@pytest.mark.parametrize("p, m", EXTENSION_FIELDS)
+def test_extension_field_columns_match_polynomial_division(p, m):
+    """The construction walk's Zech-logarithm row update: column j of H is
+    x^j mod g, for g a product of random roots c z of x^n - c^n (z over the
+    n-th roots of unity, n the largest divisor of q - 1 up to 24) and for the
+    dense g = (x^7 - c^7) / (x - c)."""
+    F = gf.extension_field(p, m)
     x = Poly.x(F)
-    roots = gf.nth_roots_of_unity(F, 23)  # 23 | 2^11 - 1: x^23 - 1 splits
-    rng = random.Random(11)
-    for size in (1, 5, 11, 22):
+    rng = random.Random(F.q)
+    n = max(d for d in range(1, 25) if (F.q - 1) % d == 0)
+    c = rng.randrange(2, F.q)
+    roots = [F.mul(c, z) for z in gf.nth_roots_of_unity(F, n)]
+    codes = []
+    for size in sorted({1, n // 2, n - 1} - {0}):
         g = Poly.one(F)
         for root in rng.sample(roots, size):
             g = g * (x - Poly(F, [root]))
-        H = ConstacyclicCode(F, 23, 1, g).parity_check_matrix()
-        for j in range(23):
+        codes.append((n, F.pow(c, n), g))
+    codes.append((7, F.pow(c, 7), poly.binomial(F, 7, F.pow(c, 7)) // (x - Poly(F, [c]))))
+    for length, lam, g in codes:
+        H = ConstacyclicCode(F, length, lam, g).parity_check_matrix()
+        for j in range(length):
             col = (x ** j % g).coeffs
-            assert H[:, j].tolist() == list(col) + [0] * (size - len(col))
+            assert H[:, j].tolist() == list(col) + [0] * (g.degree - len(col))
 
 
-@pytest.mark.parametrize("p, m", [(2, 11), (3, 7)])
-def test_dependency_search_above_the_table_limit_matches_codewords(p, m):
-    """Over GF(2^11) and GF(3^7) the dependency search's row updates go
-    through ``Field.sub`` and ``Field.mul``; on k = 1 codes, g = (x^n - c^n)
-    / (x - c), both distances equal a pass over every codeword."""
+@pytest.mark.parametrize("p, m", EXTENSION_FIELDS)
+def test_dependency_search_over_extension_fields_matches_codewords(p, m):
+    """The dependency search's Zech-logarithm row updates: on k = 1 codes,
+    g = (x^n - c^n) / (x - c), both distances equal a pass over every
+    codeword."""
     F = gf.extension_field(p, m)
     x = Poly.x(F)
     rng = random.Random(F.q)
@@ -131,6 +145,70 @@ def test_dependency_search_above_the_table_limit_matches_codewords(p, m):
         pair = code.min_pair_distance(c, "dependency")
         assert hamming.value == min(map(code.hamming_weight, words))
         assert pair.value == min(map(code.pair_weight, words))
+
+
+def test_axpy_matches_field_arithmetic():
+    """``_axpy(F)(w, c, u's nonzeros)`` is w_i - c u_i entry by entry, over
+    prime, extension and tower fields, zero results included."""
+    fields = [F7, gf.extension_field(2, 16), gf.tower_field(gf.extension_field(2, 2), 2)]
+    fields += [gf.extension_field(p, m) for p, m in EXTENSION_FIELDS]
+    rng = random.Random(21)
+    for F in fields:
+        axpy = code._axpy(F)
+        for _ in range(200):
+            n = rng.randrange(1, 10)
+            u = [rng.randrange(F.q) if rng.random() < 0.7 else 0 for _ in range(n)]
+            c = rng.randrange(1, F.q)
+            # some entries are c u_i already, so their update is 0
+            w = [F.mul(c, b) if rng.random() < 0.3 else rng.randrange(F.q) for b in u]
+            nonzeros = [(i, b) for i, b in enumerate(u) if b]
+            assert axpy(w, c, nonzeros) == [F.sub(a, F.mul(c, b)) for a, b in zip(w, u)]
+
+
+def test_row_update_reads_no_field_tables():
+    """Building a code over GF(2^8) and running both dependency searches
+    never builds or reads the q x q tables: they belong to the message side."""
+    F = gf.extension_field(2, 8)
+    x = Poly.x(F)
+    code._axpy.cache_clear()  # so the row update is built here
+    before = code._field_tables.cache_info()
+    root = gf.primitive_element(F)
+    c = ConstacyclicCode(F, 5, F.pow(root, 5), poly.binomial(F, 5, F.pow(root, 5))
+                         // (x - Poly(F, [root])))
+    code.min_hamming_distance(c, "dependency")
+    code.min_pair_distance(c, "dependency")
+    after = code._field_tables.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _gf2048_code(k):
+    """The GF(2^11) [23, k] cyclic code whose generator has every 23rd root of
+    unity but the last k as roots."""
+    F = gf.extension_field(2, 11)
+    x = Poly.x(F)
+    g = Poly.one(F)
+    for root in gf.nth_roots_of_unity(F, 23)[:-k]:
+        g = g * (x - Poly(F, [root]))
+    return ConstacyclicCode(F, 23, 1, g)
+
+
+def test_auto_above_the_table_limit_runs_the_dependency_search():
+    """The message side has no tables over GF(2^11), so ``auto`` sends both
+    distances to the dependency search: with a small budget it stops with a
+    proven lower bound, where the scans raise ``OutOfScopeError``.  (Run to
+    the end, d_H alone of the [23, 1] code takes 24,117,248 reductions.)"""
+    for k in (1, 3):
+        c = _gf2048_code(k)
+        assert c.k == k
+        for distance, for_pair, lower in ((code.min_hamming_distance, False, 5),
+                                          (code.min_pair_distance, True, 9)):
+            assert code._resolve_strategy(c, "auto", for_pair=for_pair) == "dependency"
+            with pytest.raises(errors.BudgetExceededError) as err:
+                distance(c, budget=5000)
+            assert err.value.lower_bound == lower
+            for strategy in ("exhaustive", "bounded"):
+                with pytest.raises(errors.OutOfScopeError):
+                    distance(c, strategy)
 
 
 def test_from_defining_set_examples():
@@ -805,7 +883,7 @@ def test_walker_blocks_cover_each_level_once_within_budget(monkeypatch):
         q, k, n = c.field.q, c.k, c.n
         R = (q - 1) ** (t - 1)
         code._scan(c.field, c.standard_form(), itertools.combinations(range(k), t),
-                   range(R), q - 1, 1, lambda nz: code._stat_minima(nz, n))
+                   range(R), q - 1, 1)
         assert (R > code._CELL_BUDGET // n) == (shape == "sliced")
         assert len(blocks) > 1
         assert all(len(cols) > 1 for _d, cols, _n in blocks) == (shape == "batched")
