@@ -13,11 +13,9 @@ by the row update the dependency search uses (``_axpy``): mod p over prime
 fields, by Zech logarithms in O(q) memory over every extension field.  A
 2^22-cell walk took 0.10-0.11 s with a sparse g (x^1024 - 1 over GF(2) and
 GF(5)).  With a random dense g of degree 1024 it took 0.20 s over GF(5) and
-0.24 / 0.29 / 0.42 s over GF(4) / GF(9) / GF(2^10), where q x q tables took
-0.16 / 0.19 / 0.81 s but cost the first GF(2^10) code 0.3 s and 109 MB to
-build (best of 3).  The walk kept about 8 bytes a cell, about 32 over
-GF(65521), whose elements above 256 are separate int objects (CPython
-3.11.7, one core).  As x^-k = lambda^-1 x^(n-k) modulo x^n - lambda, the
+0.22 / 0.30-0.34 / 0.43 s over GF(4) / GF(9) / GF(2^10) (best of 3).  The
+walk kept about 8 bytes a cell, about 32 over GF(65521), whose elements
+above 256 are separate int objects (CPython 3.11.7, one core).  As x^-k = lambda^-1 x^(n-k) modulo x^n - lambda, the
 standard form is [I_k | -lambda^-1 R^T], R the last k columns of H
 (systematic encoding; MacWilliams-Sloane, ch. 7).
 
@@ -111,22 +109,22 @@ faster than float64 (one thread, numpy 2.4).  The exact product is
 converted to int32 / int64 and reduced mod q in integers: ``np.remainder``
 on the floats took about 25 ns a cell, against under 4 ns for the
 conversion and the integer remainder (2^18 float32 cells, one thread,
-numpy 2.4.6).  Extension fields accumulate by t rounds of ``np.take`` on
-the raveled add/mul tables, at index a*q + b; the tables, built once per
-field, hold that index in int16 while q^2 <= 2^15 and in int32 above
-(GF(256), GF(1024)).  The products come from the field's own exp/log
-tables.  These q x q tables serve this kernel alone, because both O(q)
-kernels tried were slower on GF(4), GF(8), GF(9), GF(16) and GF(256)
-blocks of 200 to 612k cells: the standard form's GF(p) image as one float
-matmul by 1.1-7.6x, and int64 accumulation of base-p digits spread into
-bit fields by 1.0-4.4x (best of 5, one thread, numpy 2.4.6).  They exist
-up to ``_TABLE_Q_LIMIT`` = 1024, so over larger extension fields both
-scans raise ``OutOfScopeError``, and ``auto`` offers them only where the
-kernel has tables: above that order it takes the dependency search.
-``_CELL_BUDGET`` caps the cells of one block, and so peak memory.
-At 2^18 cells the ``low-rate`` benchmark workload peaks at 34.6 MB against
-40.9 MB at 2^22, with the same median CPU time (0.369 s a pass; 4
-alternating runs each, 2 cores, CPython 3.11, numpy 2.4).  Levels are
+numpy 2.4.6).  Extension fields sum the t terms in the log domain, two
+``np.take`` lookups a term, in O(q) arrays built once per field from the
+Zech logarithms the row update reads (``_zech``, ``_log_tables``): a
+product's log is a sum of two logs, and acc <- norm[acc + zech[lb - acc]]
+adds it with no mask for a zero term, a zero accumulator or a
+cancellation.  Indices stay within 14 (q - 1), in int16 while that fits,
+else int32, so both scans run over every extension field.  On full
+2^18-cell blocks (n = 60, k = 30, random G, t = 2..6, best of 9) this
+took 0.67-1.04x the time of the q x q add/mul tables it replaced over
+GF(4) to GF(27) and 0.52-0.68x over GF(256), and the first bounded scan
+over GF(2^10) 0.6 ms and 0.5 MB of peak RSS, not 0.15 s and 24 MB (numpy
+2.4.6, one thread).  ``_CELL_BUDGET`` caps the cells of one block, and so
+peak memory.  It was set when a ``low-rate`` benchmark pass took 0.369 s and
+peaked at 34.6 MB, against 40.9 MB at 2^22 cells; with the window floors a
+pass takes about 0.01 s and peaks at 31.9 MB under either cap (4
+alternating 10 s runs each, 2 cores, CPython 3.11, numpy 2.4).  Levels are
 always scanned completely, in a fixed order, so results and enumeration
 counts are deterministic.
 """
@@ -161,10 +159,6 @@ _CELL_BUDGET = 1 << 18
 
 #: Largest parity-check matrix (deg g * n cells) a code may walk at construction.
 _H_CELL_LIMIT = 1 << 24
-
-#: Largest extension field with the message-side kernel's q x q add/mul
-#: tables (``_field_tables``); ``auto`` offers the scans only up to it.
-_TABLE_Q_LIMIT = 1024
 
 #: auto strategy uses exhaustive scan below this many codewords.
 _AUTO_EXHAUSTIVE_LIMIT = 1 << 12
@@ -526,35 +520,46 @@ def _window_floor(n: int, k: int, t: int, for_pair: bool) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _field_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only addition and multiplication tables of an extension field
-    for the message-side kernel (``_encode_block``), its only reader, built
-    once per field up to ``_TABLE_Q_LIMIT``, in the narrowest dtype that
-    holds an index a*q + b into their raveled form: int16 while q^2 <= 2^15,
-    else int32.
-
-    Canonical integers are base-p digit vectors, so addition is digitwise
-    mod p; products go through the field's own exp/log tables.
-    """
-    q, p = field.q, field.p
-    if q > _TABLE_Q_LIMIT:
-        raise OutOfScopeError(f"table arithmetic supports extension fields up to "
-                              f"order {_TABLE_Q_LIMIT}, got {q}")
-    values = np.arange(q, dtype=np.int64)
-    add = np.zeros((q, q), dtype=np.int64)
-    place = 1
-    for _ in range(field.m):
-        digits = values // place % p
-        add += (digits[:, None] + digits[None, :]) % p * place
-        place *= p
+def _zech(field: gf.Field) -> list[int]:
+    """Zech logarithms z[e] = log(1 + gen^e), e = 0..q-2, of an extension
+    field with generator gen, 2(q - 1) where 1 + gen^e = 0, listed twice so
+    that no exponent from -(q - 2) to 2q - 3 needs a reduction.  Built once
+    per field in O(q), for the row update and the message-side kernel."""
     field._ensure_tables()
-    exp = np.array(field._exp, dtype=np.int64)
-    log = np.array(field._log, dtype=np.int64)
-    mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
-    mul[0, :] = 0
-    mul[:, 0] = 0
-    dtype = np.int16 if q * q <= 1 << 15 else np.int32
-    tables = (add.astype(dtype), mul.astype(dtype))
+    q1, log = field.q - 1, field._log
+    return [log[s] if (s := field.add(1, e)) else 2 * q1 for e in field._exp] * 2
+
+
+@functools.lru_cache(maxsize=None)
+def _log_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (log, zech, norm) arrays of an extension field for the
+    message-side kernel (``_encode_block``), built once per field from
+    ``_zech``, about 22 q entries, int16 while 14 (q - 1) fits, else int32.
+
+    With m = q - 1, a nonzero element's log is 0..m-1 and zero's is 3m.  A
+    term, digit x times entry y of G, has log lb = log x + log y + m: m..3m-2
+    for a nonzero product, 4m..5m-1 or 7m for a zero one.  The accumulator
+    holds a log, or -7m for zero, and adds a term by acc <- norm[acc +
+    zech[lb - acc]]:
+
+    * below 3m, zech[d] = m + z[d mod m] (3m where 1 + gen^d = 0): the Zech
+      sum of two nonzeros;
+    * from 3m to 8m, zech[d] = m: the product is zero and acc stays;
+    * from 8m, zech[d] = d: acc is zero, and the sum is the product.
+
+    norm[x] is x mod m below 3m and -7m (zero) from 3m on, so the first
+    term is norm[lb] alone.
+    """
+    m = field.q - 1
+    z = np.array(_zech(field))
+    d = np.arange(14 * m + 1)
+    zech = np.where(d < 3 * m, m + z[d % m], np.where(d < 8 * m, m, d))
+    x = np.arange(7 * m + 1)
+    norm = np.where(x < 3 * m, x % m, -7 * m)
+    log = np.array(field._log)
+    log[0] = 3 * m
+    dtype = np.int16 if 14 * m < 1 << 15 else np.int32
+    tables = tuple(a.astype(dtype) for a in (log, zech, norm))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -566,13 +571,10 @@ def _axpy(field: gf.Field):
     nonzeros: the construction walk's and the dependency search's.  Built
     once per field, in O(q) memory at every order.  Prime fields reduce mod
     p inline.  Extension fields use Zech logarithms (Huber, IEEE T-IT 36(4),
-    1990), read from the field's exp/log lists: with gen the field's
-    generator, z[d] = log(1 + gen^d).  -c b = gen^y for y = log c + log b +
-    log(-1), so w_i - c b is gen^y when w_i = 0, else gen^(log w_i + z[y -
-    log w_i]) (exponents mod q - 1).  Where 1 + gen^d = 0, z[d] is 2(q - 1),
-    which lands in a tail of q - 1 zeros after exp, doubled so that no sum
-    of two exponents needs a reduction; z is doubled too, and a negative
-    y - log w_i reads its upper copy."""
+    1990), read from the field's exp/log lists and ``_zech``: -c b = gen^y
+    for y = log c + log b + log(-1), so w_i - c b is gen^y when w_i = 0, else
+    gen^(log w_i + z[y - log w_i]) (exponents mod q - 1).  exp is doubled,
+    and z's 2(q - 1) reads a tail of q - 1 zeros after it."""
     if field.base is None:
         p = field.q
 
@@ -582,9 +584,8 @@ def _axpy(field: gf.Field):
                 w[i] = (w[i] - c * b) % p
             return w
         return axpy
-    field._ensure_tables()
+    zech = _zech(field)
     q1, log = field.q - 1, field._log
-    zech = [log[s] if (s := field.add(1, e)) else 2 * q1 for e in field._exp] * 2
     exp = field._exp * 2 + [0] * q1
     log_minus_one = 0 if field.p == 2 else q1 // 2
 
@@ -611,8 +612,8 @@ def _encode_block(field: gf.Field, G: np.ndarray, digits: np.ndarray,
     of the information positions they occupy.  Returns a boolean array of
     shape (B, R, n).  Prime fields: one float matmul, exact below 2^24
     (float32) or 2^53 (float64), so it converts exactly to int32 / int64,
-    where it is reduced mod q.  Extension fields: t rounds of lookups in
-    the raveled tables at a*q + b (module docstring).
+    where it is reduced mod q.  Extension fields: t terms summed in the log
+    domain, two lookups a term (``_log_tables``).
     """
     q, t = field.q, digits.shape[1]
     if field.base is None:
@@ -624,15 +625,16 @@ def _encode_block(field: gf.Field, G: np.ndarray, digits: np.ndarray,
         C = (digits.astype(dt) @ G.astype(dt)[cols]).astype(it)
         C %= q
         return C != 0
-    add_t, mul_t = _field_tables(field)
-    sel = G.astype(add_t.dtype)[cols]
-    scaled = digits.astype(add_t.dtype) * q
-    add_t, mul_t = add_t.ravel(), mul_t.ravel()
-    acc = np.zeros((sel.shape[0], digits.shape[0], G.shape[1]), dtype=add_t.dtype)
-    for i in range(t):
-        prod = np.take(mul_t, scaled[:, i][None, :, None] + sel[:, i, :][:, None, :])
-        acc = np.take(add_t, acc * q + prod)
-    return acc != 0
+    log, zech, norm = _log_tables(field)
+    ld, lg = np.take(log, digits), (np.take(log, G) + (q - 1))[cols]
+    terms = (ld[:, i][None, :, None] + lg[:, i, :][:, None, :] for i in range(t))
+    acc = np.take(norm, next(terms))
+    for lb in terms:  # in place: each term is a fresh array
+        lb -= acc
+        x = np.take(zech, lb)
+        x += acc
+        acc = np.take(norm, x)
+    return acc != norm[-1]
 
 
 def _blocks(supports, rows: range, n: int):
@@ -825,8 +827,6 @@ def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) 
             return "castagnoli"
         q, n, k = code.field.q, code.n, code.k
         ext = code.field.base is not None
-        if ext and q > _TABLE_Q_LIMIT:  # the message side has no tables here
-            return "dependency"
         # g is a codeword, and x^(k-1) g a level-1 word of the same weights,
         # so either side's search ends by the level of g's own weight
         word = code.g.coeffs + (0,) * (n - len(code.g.coeffs))

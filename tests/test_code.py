@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sympair
-from sympair import code, constructions, errors, gf, poly
+from sympair import bounds, code, constructions, errors, gf, poly
 from sympair.code import ConstacyclicCode
 from sympair.poly import Poly
 
@@ -95,8 +95,8 @@ def test_divisor_check_and_columns_match_polynomial_division():
                         assert H[:, j].tolist() == list(col) + [0] * (n - c.k - len(col))
 
 
-#: Extension fields for the row-update tests: (p, m) of orders 4 to 2187,
-#: on both sides of ``_TABLE_Q_LIMIT``; one row update serves them all.
+#: Extension fields for the row-update tests: (p, m) of orders 4 to 2187;
+#: one row update, over one Zech column per field, serves them all.
 EXTENSION_FIELDS = [(2, 2), (3, 2), (2, 8), (5, 2), (2, 11), (3, 7)]
 
 
@@ -165,20 +165,22 @@ def test_axpy_matches_field_arithmetic():
             assert axpy(w, c, nonzeros) == [F.sub(a, F.mul(c, b)) for a, b in zip(w, u)]
 
 
-def test_row_update_reads_no_field_tables():
-    """Building a code over GF(2^8) and running both dependency searches
-    never builds or reads the q x q tables: they belong to the message side."""
+def test_zech_column_is_built_once_per_field():
+    """Building a code over GF(2^8), running both dependency searches and a
+    bounded scan builds the field's Zech column once: the row update and the
+    message-side kernel read the same one."""
     F = gf.extension_field(2, 8)
     x = Poly.x(F)
-    code._axpy.cache_clear()  # so the row update is built here
-    before = code._field_tables.cache_info()
+    for cached in (code._zech, code._axpy, code._log_tables):
+        cached.cache_clear()  # so everything is built here
     root = gf.primitive_element(F)
     c = ConstacyclicCode(F, 5, F.pow(root, 5), poly.binomial(F, 5, F.pow(root, 5))
                          // (x - Poly(F, [root])))
     code.min_hamming_distance(c, "dependency")
     code.min_pair_distance(c, "dependency")
-    after = code._field_tables.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    code.min_pair_distance(c, "bounded")
+    assert code._log_tables.cache_info().misses == 1
+    assert code._zech.cache_info().misses == 1
 
 
 def _gf2048_code(k):
@@ -192,23 +194,32 @@ def _gf2048_code(k):
     return ConstacyclicCode(F, 23, 1, g)
 
 
-def test_auto_above_the_table_limit_runs_the_dependency_search():
-    """The message side has no tables over GF(2^11), so ``auto`` sends both
-    distances to the dependency search: with a small budget it stops with a
-    proven lower bound, where the scans raise ``OutOfScopeError``.  (Run to
-    the end, d_H alone of the [23, 1] code takes 24,117,248 reductions.)"""
-    for k in (1, 3):
-        c = _gf2048_code(k)
-        assert c.k == k
-        for distance, for_pair, lower in ((code.min_hamming_distance, False, 5),
-                                          (code.min_pair_distance, True, 9)):
-            assert code._resolve_strategy(c, "auto", for_pair=for_pair) == "dependency"
-            with pytest.raises(errors.BudgetExceededError) as err:
-                distance(c, budget=5000)
-            assert err.value.lower_bound == lower
-            for strategy in ("exhaustive", "bounded"):
-                with pytest.raises(errors.OutOfScopeError):
-                    distance(c, strategy)
+def test_scans_run_above_order_1024():
+    """Both message-side scans run over GF(2^11).  ``auto`` scans the 2047
+    codewords of the [23, 1] code on both sides, where the dependency search
+    proves the same d_H = 23 in 24,117,248 column reductions.  The [23, 3]
+    code is MDS, d_H = n - k + 1 = 21, so its d_p is d_H + 1
+    (``pair_distance_floor``); a budget stops the scan at its window floor."""
+    c1 = _gf2048_code(1)
+    assert c1.k == 1
+    for distance, for_pair in ((code.min_hamming_distance, False),
+                               (code.min_pair_distance, True)):
+        assert code._resolve_strategy(c1, "auto", for_pair=for_pair) == "exhaustive"
+        result = distance(c1)
+        assert (result.value, result.method, result.enumeration_count) == (23, "exhaustive", 2047)
+        assert distance(c1, "bounded").value == 23
+    c3 = _gf2048_code(3)
+    assert c3.k == 3
+    hamming, pair = code.min_hamming_distance(c3), code.min_pair_distance(c3, "bounded")
+    assert (hamming.value, hamming.method, hamming.enumeration_count) == (21, "bounded_weight", 6144)
+    assert (pair.value, pair.method, pair.enumeration_count) == (22, "bounded_weight", 3)
+    floor = bounds.pair_distance_floor(23, 3, hamming.value)
+    assert floor.exact and pair.value == floor.lower_bound == c3.n - c3.k + 2
+    for distance, for_pair, budget, level in ((code.min_hamming_distance, False, 5000, 2),
+                                              (code.min_pair_distance, True, 2, 1)):
+        with pytest.raises(errors.BudgetExceededError) as err:
+            distance(c3, budget=budget)
+        assert err.value.lower_bound == code._window_floor(23, 3, level, for_pair)
 
 
 def test_from_defining_set_examples():
@@ -730,16 +741,41 @@ def test_auto_picks_the_side_with_the_smaller_worst_case():
     assert code.min_hamming_distance(n6).method == "dependency"
 
 
-def test_field_tables_match_field_arithmetic():
+def _log_axpy(field, a, x, y):
+    """a + x y through the kernel's tables (``_log_tables``), as the
+    representation the accumulator holds: a enters as the first term, a * 1,
+    and x y is added as a further term."""
+    log, zech, norm = (table.astype(np.int64) for table in code._log_tables(field))
+    m = field.q - 1
+    acc = norm[log[a] + log[1] + m]
+    lb = log[x] + log[y] + m
+    return norm[acc + zech[lb - acc]]
+
+
+def test_log_tables_compute_a_plus_x_times_y():
+    """The message-side kernel's one sum rule equals ``F.add(a, F.mul(x,
+    y))``: on every triple over small fields and a tower, and on random
+    triples, zeros included, up to GF(2^16)."""
+    rng = np.random.default_rng(22)
     tower = gf.tower_field(F4, 2)
-    for field in (F4, F8, F9, gf.extension_field(5, 2), tower):
-        add, mul = code._field_tables(field)
-        assert not add.flags.writeable and not mul.flags.writeable
-        for a in range(field.q):
-            for b in range(field.q):
-                assert add[a, b] == field.add(a, b)
-                assert mul[a, b] == field._mul_raw(a, b)
-    assert code._field_tables(F9) is code._field_tables(gf.extension_field(3, 2))
+    cases = [(F, *np.meshgrid(*[np.arange(F.q)] * 3, indexing="ij"))
+             for F in (F4, F8, F9, gf.extension_field(5, 2), tower)]
+    for p, m in ((2, 8), (2, 11), (3, 7), (2, 16)):
+        F = gf.extension_field(p, m)
+        a, x, y = rng.integers(0, F.q, size=(3, 3000))
+        for v in (a, x, y):
+            v[rng.random(v.size) < 0.1] = 0
+        x[:300], y[:300] = 1, [F.neg(int(v)) for v in a[:300]]  # a - a = 0
+        cases.append((F, a, x, y))
+    for F, a, x, y in cases:
+        assert all(not table.flags.writeable for table in code._log_tables(F))
+        a, x, y = (v.ravel() for v in (a, x, y))
+        log, _zech, norm = code._log_tables(F)
+        expected = [F.add(int(u), F.mul(int(v), int(w))) for u, v, w in zip(a, x, y)]
+        assert (_log_axpy(F, a, x, y) == norm[log[expected] + F.q - 1]).all(), F
+        # the zero sentinel is the only value a zero sum takes
+        assert ((_log_axpy(F, a, x, y) == norm[-1]) == (np.array(expected) == 0)).all()
+    assert code._log_tables(F9) is code._log_tables(gf.extension_field(3, 2))
 
 
 def _bounded_levels(c, for_pair):
@@ -989,8 +1025,9 @@ def test_encode_block_matches_encode_at_every_dtype_boundary():
         (gf.prime_field(65521), 13, [1, 2, 3, 4]),    # [13,9]: float64 at every t
         (F4, 5, [1]),                              # [5,3]
         (F9, 8, [1, 2]),                           # [8,6]
-        (gf.extension_field(2, 8), 17, [1, 2]),    # [17,15]: q^2 = 2^16, int32 index
-        (gf.extension_field(2, 10), 11, [1, 2]),   # [11,9]
+        (gf.extension_field(2, 8), 17, [1, 2]),    # [17,15]
+        (gf.extension_field(2, 10), 11, [1, 2]),   # [11,9]: 14 (q - 1) < 2^15, int16
+        (gf.extension_field(2, 12), 13, [1, 2]),   # [13,11]: int32
     )
     kernels = set()
     for field, n, exponents in cases:
@@ -1020,7 +1057,7 @@ def test_encode_block_matches_encode_at_every_dtype_boundary():
             if field.base is None:
                 kernels.add("float32" if (q - 1) ** 2 * t < 1 << 24 else "float64")
             else:
-                kernels.add(code._field_tables(field)[0].dtype.name)
+                kernels.add(code._log_tables(field)[0].dtype.name)
             mask = code._encode_block(field, G, digits, cols)
             assert mask.shape == (len(cols), len(digits), n)
             for b, support in enumerate(cols):

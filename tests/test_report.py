@@ -1,6 +1,9 @@
 """Code spec files and analysis reports: validation, determinism, budgets."""
 
+import hashlib
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from sympair.code import ConstacyclicCode
 from sympair.poly import Poly
 
 F5 = gf.prime_field(5)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 SPEC_15_11 = {"p": 5, "m": 1, "n": 15, "lambda": 1, "generator": [1, 4, 0, 4, 1]}
 SPEC_24_3 = {"p": 5, "m": 1, "n": 24,
@@ -234,3 +238,30 @@ def test_report_json_is_valid_and_ordered():
     parsed = json.loads(text)
     assert parsed["d_hamming"]["value"] == 3
     assert text.index('"d_hamming"') < text.index('"d_pair"') < text.index('"bounds"')
+
+
+def test_report_values_of_the_benchmark_codes_are_frozen(monkeypatch):
+    """``analyze`` reports the same values on the 2032 benchmark codes.
+
+    Recipe: for each spec of ``workloads.sweep_specs()``
+    (``bench/data/small_sweep.json``, file order) and then of
+    ``workloads.LOW_RATE``, take
+    ``analyze(code_from_spec_dict(spec)).to_dict(include_perf=False)``, drop
+    ``version`` and the ``method`` and ``enumeration_count`` of both
+    distances, and feed ``json.dumps(report, sort_keys=True)`` to one sha256.
+    What is dropped may change with a version bump or a new ``auto`` choice;
+    every value, bound and flag may not.  The digest was computed at commit
+    88353ba, when the message-side kernel still read q x q tables.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")  # reads bench/ only
+    specs = workloads.sweep_specs() + [item.call[1] for item in workloads.LOW_RATE]
+    digest = hashlib.sha256()
+    for spec in specs:
+        out = report.analyze(report.code_from_spec_dict(spec)).to_dict(include_perf=False)
+        del out["version"]
+        for side in ("d_hamming", "d_pair"):
+            del out[side]["method"], out[side]["enumeration_count"]
+        digest.update(json.dumps(out, sort_keys=True).encode())
+    assert len(specs) == 2032
+    assert digest.hexdigest()[:12] == "834cb905e9e6"
