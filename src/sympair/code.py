@@ -10,7 +10,7 @@ tuples, and g divides x^n - lambda exactly when the walk ends at lambda
 cells, so a code whose H would exceed ``_H_CELL_LIMIT`` = 2^24 cells raises
 ``OutOfScopeError`` before it starts.  Each step updates only g's nonzeros,
 by the row update the dependency search uses (``_axpy``): mod p over prime
-fields, by Zech logarithms in O(q) memory over every extension field.  A
+fields, by the field's own O(q) Zech tables over every extension field.  A
 2^22-cell walk took 0.10-0.11 s with a sparse g (x^1024 - 1 over GF(2) and
 GF(5)).  With a random dense g of degree 1024 it took 0.20 s over GF(5) and
 0.22 / 0.30-0.34 / 0.43 s over GF(4) / GF(9) / GF(2^10) (best of 3).  The
@@ -110,8 +110,8 @@ converted to int32 / int64 and reduced mod q in integers: ``np.remainder``
 on the floats took about 25 ns a cell, against under 4 ns for the
 conversion and the integer remainder (2^18 float32 cells, one thread,
 numpy 2.4.6).  Extension fields sum the t terms in the log domain, two
-``np.take`` lookups a term, in O(q) arrays built once per field from the
-Zech logarithms the row update reads (``_zech``, ``_log_tables``): a
+``np.take`` lookups a term, in O(q) arrays built once per field
+(``_log_tables``) from the same field tables the row update reads: a
 product's log is a sum of two logs, and acc <- norm[acc + zech[lb - acc]]
 adds it with no mask for a zero term, a zero accumulator or a
 cancellation.  Indices stay within 14 (q - 1), in int16 while that fits,
@@ -520,21 +520,11 @@ def _window_floor(n: int, k: int, t: int, for_pair: bool) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _zech(field: gf.Field) -> list[int]:
-    """Zech logarithms z[e] = log(1 + gen^e), e = 0..q-2, of an extension
-    field with generator gen, 2(q - 1) where 1 + gen^e = 0, listed twice so
-    that no exponent from -(q - 2) to 2q - 3 needs a reduction.  Built once
-    per field in O(q), for the row update and the message-side kernel."""
-    field._ensure_tables()
-    q1, log = field.q - 1, field._log
-    return [log[s] if (s := field.add(1, e)) else 2 * q1 for e in field._exp] * 2
-
-
-@functools.lru_cache(maxsize=None)
 def _log_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (log, zech, norm) arrays of an extension field for the
-    message-side kernel (``_encode_block``), built once per field from
-    ``_zech``, about 22 q entries, int16 while 14 (q - 1) fits, else int32.
+    message-side kernel (``_encode_block``), built once per field from its
+    ``log`` and ``zech``, about 22 q entries, int16 while 14 (q - 1) fits,
+    else int32.
 
     With m = q - 1, a nonzero element's log is 0..m-1 and zero's is 3m.  A
     term, digit x times entry y of G, has log lb = log x + log y + m: m..3m-2
@@ -551,12 +541,12 @@ def _log_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     term is norm[lb] alone.
     """
     m = field.q - 1
-    z = np.array(_zech(field))
+    z = np.array(field.zech)
     d = np.arange(14 * m + 1)
     zech = np.where(d < 3 * m, m + z[d % m], np.where(d < 8 * m, m, d))
     x = np.arange(7 * m + 1)
     norm = np.where(x < 3 * m, x % m, -7 * m)
-    log = np.array(field._log)
+    log = np.array(field.log)
     log[0] = 3 * m
     dtype = np.int16 if 14 * m < 1 << 15 else np.int32
     tables = tuple(a.astype(dtype) for a in (log, zech, norm))
@@ -571,10 +561,10 @@ def _axpy(field: gf.Field):
     nonzeros: the construction walk's and the dependency search's.  Built
     once per field, in O(q) memory at every order.  Prime fields reduce mod
     p inline.  Extension fields use Zech logarithms (Huber, IEEE T-IT 36(4),
-    1990), read from the field's exp/log lists and ``_zech``: -c b = gen^y
-    for y = log c + log b + log(-1), so w_i - c b is gen^y when w_i = 0, else
-    gen^(log w_i + z[y - log w_i]) (exponents mod q - 1).  exp is doubled,
-    and z's 2(q - 1) reads a tail of q - 1 zeros after it."""
+    1990), read from the field's ``exp``, ``log`` and ``zech`` tables: -c b
+    = gen^y for y = log c + log b + log(-1), so w_i - c b is gen^y when
+    w_i = 0, else gen^(log w_i + z[y - log w_i]) (exponents mod q - 1).  exp
+    is doubled, and z's 2(q - 1) reads the tail of q - 1 zeros after it."""
     if field.base is None:
         p = field.q
 
@@ -584,10 +574,8 @@ def _axpy(field: gf.Field):
                 w[i] = (w[i] - c * b) % p
             return w
         return axpy
-    zech = _zech(field)
-    q1, log = field.q - 1, field._log
-    exp = field._exp * 2 + [0] * q1
-    log_minus_one = 0 if field.p == 2 else q1 // 2
+    q1, exp, log, zech = field.q - 1, field.exp, field.log, field.zech
+    log_minus_one = log[field.p - 1]  # -1 is the canonical integer p - 1
 
     def axpy(w, c, nonzeros):
         y0 = (log[c] + log_minus_one) % q1

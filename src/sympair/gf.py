@@ -19,14 +19,17 @@ modulus rule; their canonical integers coincide with the base-p flattening
 of the nested coordinates.
 
 So at every tower level a canonical integer is a base-p digit vector over
-GF(p): addition, negation and subtraction work digitwise mod p (XOR when
-p = 2).  Multiplication of an extension or tower field goes through exp/log
-tables of its primitive element ``gen``, the smallest candidate that passes
-the order test (:func:`primitive_element`, the one generator search for
-every field).  a -> a * gen is GF(p)-linear on the digits, so the tables
-cost m schoolbook products (the images of the basis elements p^i), one
-matmul mod p over all q digit vectors giving ``step[a] = a * gen``, and a
-walk of the orbit of 1 through ``step``.
+GF(p).  An extension or tower field builds exp, log and Zech tables once,
+when it is made, from its primitive element ``gen``, the smallest candidate
+that passes the order test (:func:`primitive_element`, the one generator
+search for every field).  a -> a * gen is GF(p)-linear on the digits, so
+exp/log cost m schoolbook products (the images of the basis elements p^i),
+one matmul mod p over all q digit vectors giving ``step[a] = a * gen``, and
+a walk of the orbit of 1 through ``step``.  1 + a adds 1 mod p to a's
+lowest digit, so the Zech logarithms z[e] = log(1 + gen^e) (Huber, IEEE
+T-IT 36(4), 1990) take one lookup an element.  Every extension-field
+operation, here and in :mod:`sympair.code`, reads these tables: a product
+adds logs, and gen^a + gen^b = gen^(a + z[b - a]).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (
     require_int,
 )
 
-#: Largest supported field order.  Keeps exp/log tables and scans cheap.
+#: Largest supported field order.  Keeps exp/log/Zech tables and scans cheap.
 Q_LIMIT = 1 << 16
 
 
@@ -87,10 +90,16 @@ class Field:
     Do not call the constructor directly; use :func:`prime_field`,
     :func:`extension_field`, or (for towers over a non-prime base)
     :func:`tower_field`.  Fields are immutable and hashable.
+
+    An extension field's read-only tables (None over a prime field): ``exp``
+    is gen^0..gen^(q-2) twice, then q - 1 zeros; ``log[a]`` is in 0..q-2
+    (log[0] = 0 is never read); ``zech`` is z[0..q-2] twice, z[e] = 2(q - 1)
+    where 1 + gen^e = 0.  So exp[sum of two logs] and exp[log + z[e]] need
+    no reduction, and z reads any e from -2(q - 1) to 2q - 3 mod q - 1.
     """
 
     __slots__ = ("p", "q", "m", "base", "modulus", "_rel_deg", "_sub_q",
-                 "_exp", "_log", "_gen", "_hash")
+                 "exp", "log", "zech", "_gen", "_hash")
 
     def __init__(self, p: int, modulus: tuple[int, ...], base: "Field | None"):
         self.p = p
@@ -109,10 +118,11 @@ class Field:
         if self.q > Q_LIMIT:
             raise OutOfScopeError(
                 f"field order {self.q} exceeds the supported limit {Q_LIMIT}")
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
         self._gen: int | None = None
         self._hash = hash((self.p, self.q, self.modulus, self.base))
+        self.exp = self.log = self.zech = None
+        if base is not None:
+            self.exp, self.log, self.zech = self._tables()
 
     # ------------------------------------------------------------------
     # identity and housekeeping
@@ -181,29 +191,27 @@ class Field:
     def add(self, a: int, b: int) -> int:
         if self.base is None:
             return (a + b) % self.p
-        return a ^ b if self.p == 2 else self._digitwise(a, b, 1)
+        if not a or not b:
+            return a or b
+        la = self.log[a]
+        return self.exp[la + self.zech[self.log[b] - la]]
 
     def neg(self, a: int) -> int:
         if self.base is None:
             return (-a) % self.p
-        return a if self.p == 2 else self._digitwise(0, a, -1)
+        # -1 is the canonical integer p - 1
+        return self.exp[self.log[a] + self.log[self.p - 1]] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         if self.base is None:
             return (a - b) % self.p
-        return a ^ b if self.p == 2 else self._digitwise(a, b, -1)
-
-    def _digitwise(self, a: int, b: int, sign: int) -> int:
-        """a + sign * b, digit by digit in base p (module docstring)."""
-        p = self.p
-        out = 0
-        place = 1
-        while a or b:
-            out += (a % p + sign * (b % p)) % p * place
-            a //= p
-            b //= p
-            place *= p
-        return out
+        if not b:
+            return a
+        y = self.log[b] + self.log[self.p - 1]  # -b = gen^y
+        if not a:
+            return self.exp[y]
+        la = self.log[a]
+        return self.exp[la + self.zech[y - la]]
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Table-free product: schoolbook over the base, reduced by the modulus."""
@@ -231,46 +239,42 @@ class Field:
                         prod[d - r + t] = base.sub(prod[d - r + t], base.mul(c, mod[t]))
         return self._unvec(prod[:r])
 
-    def _ensure_tables(self) -> None:
-        """Build exp/log tables for extension fields (prime fields never need
-        them) from one linear map over all elements (module docstring)."""
-        if self._exp is not None or self.base is None:
-            return
-        qm1 = self.q - 1
+    def _tables(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(exp, log, zech) of an extension field in the class docstring's
+        layout, from one linear map over all elements (module docstring)."""
+        p, m, q1 = self.p, self.m, self.q - 1
         gen = primitive_element(self)
         # a -> a * gen is GF(p)-linear on base-p digits: map every element
         # at once through the images of the basis elements p^i
-        p, m = self.p, self.m
         places = p ** np.arange(m, dtype=np.int64)
         image = np.array([self.coords(self._mul_raw(p ** i, gen)) for i in range(m)],
                          dtype=np.int64)
         digits = np.arange(self.q, dtype=np.int64)[:, None] // places % p
         step = ((digits @ image % p) @ places).tolist()
-        exp = [0] * qm1
+        exp = [0] * q1
         log = [0] * self.q
         acc = 1
-        for i in range(qm1):
+        for i in range(q1):
             exp[i] = acc
             log[acc] = i
             acc = step[acc]
         assert acc == 1, "generator order mismatch"
-        self._exp, self._log = exp, log
+        zech = [log[s] if (s := a - a % p + (a + 1) % p) else 2 * q1 for a in exp]
+        return tuple(exp * 2 + [0] * q1), tuple(log), tuple(zech * 2)
 
     def mul(self, a: int, b: int) -> int:
         if self.base is None:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        self._ensure_tables()
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZeroError(f"0 has no inverse in {self!r}")
         if self.base is None:
             return pow(a, self.p - 2, self.p)
-        self._ensure_tables()
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self.exp[self.q - 1 - self.log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -282,8 +286,7 @@ class Field:
             return pow(a, e, self.p)
         if a == 0:
             return 1 if e == 0 else 0
-        self._ensure_tables()
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        return self.exp[self.log[a] * e % (self.q - 1)]
 
     def order(self, a: int) -> int:
         """Multiplicative order of a nonzero element."""
@@ -299,8 +302,8 @@ class Field:
 # ----------------------------------------------------------------------
 # constructors
 
-# Both caches are typed: an untyped one would answer extension_field(2, True)
-# with the cached GF(2) of extension_field(2, 1), skipping the checks below.
+# The three caches are typed: an untyped one would answer extension_field(2,
+# True) with the cached GF(2) of extension_field(2, 1), skipping the checks.
 @functools.lru_cache(maxsize=None, typed=True)
 def prime_field(p: int) -> Field:
     """GF(p) for prime p; every argument that must be prime is checked here."""
@@ -325,20 +328,22 @@ def extension_field(p: int, m: int) -> Field:
     return Field(p, _scan_modulus(base, m), base)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def tower_field(base: Field, r: int) -> Field:
     """Degree-r extension of an arbitrary field, same ascending modulus scan.
 
     For a prime base this is exactly :func:`extension_field`.  Towers over
     non-prime bases are used internally as splitting fields for x^n - 1.
     """
+    require_int(r, "extension degree", least=1)
     if r == 1:
         return base
     if base.base is None:
         return extension_field(base.p, r)
-    if base.q ** r > Q_LIMIT:
+    # base.q >= 4 here, so base.q^r > Q_LIMIT once r reaches its bit length
+    if r >= Q_LIMIT.bit_length() or base.q ** r > Q_LIMIT:
         raise OutOfScopeError(
-            f"splitting field order {base.q**r} exceeds the supported limit {Q_LIMIT}")
+            f"splitting field order {base.q}^{r} exceeds the supported limit {Q_LIMIT}")
     return Field(base.p, _scan_modulus(base, r), base)
 
 
@@ -367,7 +372,7 @@ def primitive_element(field: Field) -> int:
     """The smallest canonical element of multiplicative order q - 1.
 
     One search for every field, prime or not, kept on the field: it uses
-    table-free products, as the exp/log tables start from its result.
+    table-free products, as the field's tables start from its result.
     """
     if field._gen is None:
         qm1 = field.q - 1

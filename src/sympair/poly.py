@@ -282,6 +282,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 def powmod(f: Poly, e: int, mod: Poly) -> Poly:
     """f^e mod ``mod`` by square-and-multiply (e >= 0)."""
+    require_int(e, "polynomial exponent", least=0)
     if mod.degree is NEG_INF or mod.degree < 1:
         raise BadParameterError("powmod modulus must have degree >= 1")
     result = Poly.one(f.field)

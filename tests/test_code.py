@@ -61,6 +61,30 @@ def test_from_generator_rejects_non_divisor():
         ConstacyclicCode.from_generator(F5, 4, 0, Poly(F5, [1, 0, 1]))
 
 
+#: Built before the rejection test disables the construction walk.
+CODE_7_4 = ConstacyclicCode(F2, 7, 1, Poly(F2, (1, 1, 0, 1)))
+CODE_1_1 = ConstacyclicCode(F2, 1, 1, Poly.one(F2))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ConstacyclicCode(F2, 7, 1, (1, 1, 0, 1)), errors.BadParameterError),
+    (lambda: ConstacyclicCode(F2, 7, 1, Poly(F3, (1, 1))), errors.BadParameterError),
+    (lambda: ConstacyclicCode(F2, 7, 1, Poly(F2, (1,) + (0,) * 7 + (1,))),
+     errors.NotDivisorError),
+    # 4096 x 8192 cells of H: rejected before the walk reads the row update
+    (lambda: ConstacyclicCode(F2, 8192, 1, Poly(F2, (1,) + (0,) * 4095 + (1,))),
+     errors.OutOfScopeError),
+    (lambda: CODE_7_4.is_member((0,) * 6), errors.LengthMismatchError),
+    (lambda: CODE_7_4.is_member((0,) * 8), errors.LengthMismatchError),
+    (lambda: code.min_pair_distance(CODE_1_1), errors.LengthTooShortError),
+], ids=["generator-not-poly", "generator-other-field", "degree-above-n", "h-cell-limit",
+        "member-short", "member-long", "pair-distance-n-1"])
+def test_constructor_and_word_helpers_reject_bad_input(call, error, monkeypatch):
+    monkeypatch.setattr(code, "_axpy", None)  # each check comes before any walk
+    with pytest.raises(error):
+        call()
+
+
 def test_divisor_check_and_columns_match_polynomial_division():
     """Differential test of the construction walk against plain division:
     the code exists exactly when g divides x^n - lambda, and column j of H
@@ -167,11 +191,13 @@ def test_axpy_matches_field_arithmetic():
 
 def test_zech_column_is_built_once_per_field():
     """Building a code over GF(2^8), running both dependency searches and a
-    bounded scan builds the field's Zech column once: the row update and the
-    message-side kernel read the same one."""
+    bounded scan reads the field's own Zech column, built once with the
+    field: the row update holds the field's tables, and the message-side
+    kernel's arrays are built once, from the same column."""
     F = gf.extension_field(2, 8)
     x = Poly.x(F)
-    for cached in (code._zech, code._axpy, code._log_tables):
+    tables = F.exp, F.log, F.zech
+    for cached in (code._axpy, code._log_tables):
         cached.cache_clear()  # so everything is built here
     root = gf.primitive_element(F)
     c = ConstacyclicCode(F, 5, F.pow(root, 5), poly.binomial(F, 5, F.pow(root, 5))
@@ -180,7 +206,13 @@ def test_zech_column_is_built_once_per_field():
     code.min_pair_distance(c, "dependency")
     code.min_pair_distance(c, "bounded")
     assert code._log_tables.cache_info().misses == 1
-    assert code._zech.cache_info().misses == 1
+    assert code._axpy.cache_info().misses == 1
+    held = [cell.cell_contents for cell in code._axpy(F).__closure__]
+    assert all(any(table is h for h in held) for table in tables)
+    assert all(a is b for a, b in zip((F.exp, F.log, F.zech), tables))
+    q1 = F.q - 1
+    _log, zech, _norm = code._log_tables(F)
+    assert (zech[:3 * q1] - q1 == F.zech[:q1] * 3).all()
 
 
 def _gf2048_code(k):

@@ -303,6 +303,17 @@ def test_powmod_matches_plain_power():
         assert poly.powmod(f, e, m) == divmod(f**e, m)[1]
 
 
+def test_powmod_rejects_bad_exponents():
+    """As ``Poly.__pow__``: a negative exponent would never leave the
+    square-and-multiply loop (-1 >> 1 == -1), so it is rejected first."""
+    x = Poly.x(F5)
+    mod = x ** 3 - Poly.one(F5)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(errors.BadParameterError):
+            poly.powmod(x, bad, mod)
+    assert poly.powmod(x, 0, mod) == Poly.one(F5)
+
+
 def test_multiplicative_order_mod():
     assert poly.multiplicative_order_mod(5, 24) == 2
     assert poly.multiplicative_order_mod(2, 15) == 4
