@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from . import gf, poly
-from .code import ConstacyclicCode, check_budget, min_hamming_distance
+from .code import ConstacyclicCode, Ledger, min_hamming_distance
 from .errors import (
     BudgetExceededError,
     NotCoprimeError,
@@ -189,7 +189,7 @@ def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
     The result is kept on the code object, so later calls within budget
     reuse it.
     """
-    check_budget(budget)
+    ledger = Ledger(budget)
     if code.k == 0:
         raise ZeroCodeError("the zero code has no minimum distance")
     if code._castagnoli is not None and (budget is None or code._castagnoli[2] <= budget):
@@ -197,7 +197,6 @@ def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
     shape = repeated_root_shape(code)
     cache: dict[poly.Poly, int | float] = {}
     terms = []
-    enumerated = 0
     for t, g_t in enumerate(shape.residue_generators):
         if g_t not in cache:
             res = residue_code(shape, t)
@@ -206,15 +205,12 @@ def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
             elif res.k == res.n:
                 cache[g_t] = 1
             else:
-                remaining = None if budget is None else budget - enumerated
                 try:
-                    result = min_hamming_distance(res, "auto", budget=remaining)
+                    cache[g_t] = ledger(min_hamming_distance, res).value
                 except BudgetExceededError as exc:
                     raise BudgetExceededError(
-                        f"product formula, residue code t = {t}: {exc}",
-                        lower_bound=1, enumerated=enumerated + exc.enumerated) from exc
-                cache[g_t] = result.value
-                enumerated += result.enumeration_count
+                        f"product formula, residue code t = {t}: {exc.what}", lower_bound=1,
+                        enumerated=exc.enumerated, budget=exc.budget) from exc
         d_t = cache[g_t]
         P_t = radix_p_product(t, shape.p)
         terms.append(CastagnoliTerm(
@@ -222,7 +218,7 @@ def castagnoli_details(code: ConstacyclicCode, *, budget: int | None = None):
             contribution=INF if d_t is INF else P_t * d_t))
     value = min(term.contribution for term in terms)
     assert value is not INF, "a nonzero code has a nonzero residue code"
-    code._castagnoli = (int(value), tuple(terms), enumerated)
+    code._castagnoli = (int(value), tuple(terms), ledger.spent)
     return code._castagnoli
 
 

@@ -695,13 +695,32 @@ def _require_budget(used: int, next_cost: int, budget: int | None,
                     lower_bound: int, best_seen: int | None, what: str,
                     unit: str = "encodings") -> None:
     if budget is not None and used + next_cost > budget:
-        raise BudgetExceededError(
-            f"{what}: next step needs {next_cost} {unit} "
-            f"({used} used, budget {budget}); proven so far: >= {lower_bound}",
-            lower_bound=lower_bound,
-            upper_bound=best_seen,
-            enumerated=used,
-        )
+        raise BudgetExceededError(f"{what}: next step needs {next_cost} {unit}",
+                                  lower_bound=lower_bound, upper_bound=best_seen,
+                                  enumerated=used, budget=budget)
+
+
+class Ledger:
+    """One work budget for every distance call of a request: each
+    ``ledger(distance, code, strategy)`` gets what is left and adds its
+    ``enumeration_count`` to ``spent``.  A call that runs out raises
+    BudgetExceededError for the whole request (``spent`` plus its own work,
+    against ``budget``) from the call's own error."""
+
+    def __init__(self, budget: int | None):
+        check_budget(budget)
+        self.budget, self.spent = budget, 0
+
+    def __call__(self, distance, code: ConstacyclicCode, strategy: str = "auto") -> DistanceResult:
+        left = None if self.budget is None else self.budget - self.spent
+        try:
+            result = distance(code, strategy, budget=left)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(exc.what, lower_bound=exc.lower_bound,
+                                      upper_bound=exc.upper_bound, budget=self.budget,
+                                      enumerated=self.spent + exc.enumerated) from exc
+        self.spent += result.enumeration_count
+        return result
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .bounds import hartmann_tzeng_bound
 from .code import (
     ConstacyclicCode,
     DistanceResult,
+    Ledger,
     check_budget,
     divisor_codes,
     min_hamming_distance,
@@ -93,7 +94,7 @@ class ConstructionResult:
 
 
 def _require_options(certify: str, budget: int | None) -> None:
-    check_budget(budget)
+    check_budget(budget)  # fail before the code is built
     if certify not in CERTIFY_LEVELS:
         raise BadParameterError(f"certify must be one of {CERTIFY_LEVELS}, got {certify!r}")
 
@@ -107,27 +108,16 @@ def _prime_field_at_least_5(p) -> gf.Field:
 
 def _certified(code: ConstacyclicCode, spec: FamilySpec, certify: str,
                budget: int | None) -> ConstructionResult:
-    """Run the requested enumeration and check it against the expectations.
-
-    Both distances draw on one ``budget``; running out raises
-    BudgetExceededError whose ``enumerated`` counts the work of both.
-    """
+    """Run the requested enumeration on one ``budget`` and check it against the expectations."""
+    ledger = Ledger(budget)
     d_h = d_p = None
-    spent = 0
     if certify == "full" or code.repeated_root_split is not None:
         # the repeated-root families certify d_H for free via the product
         # formula, so the "bounds" level gets it too
-        d_h = min_hamming_distance(code, "auto", budget=budget)
+        d_h = ledger(min_hamming_distance, code)
         assert d_h.value == spec.expected_d_hamming
-        spent = d_h.enumeration_count
     if certify == "full":
-        try:
-            d_p = min_pair_distance(code, "auto",
-                                    budget=None if budget is None else budget - spent)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                str(exc), lower_bound=exc.lower_bound, upper_bound=exc.upper_bound,
-                enumerated=spent + exc.enumerated) from exc
+        d_p = ledger(min_pair_distance, code)
         assert d_p.value == spec.expected_d_pair
     return ConstructionResult(code=code, family=spec, d_hamming=d_h, d_pair=d_p)
 
@@ -235,27 +225,19 @@ def search_optimal_cyclic(q: int, n: int, max_codes: int | None = None,
     reductions) across the whole search; running out raises
     BudgetExceededError with the finished entries attached.
     """
-    check_budget(budget)
+    ledger = Ledger(budget)
     check_budget(max_codes, "max_codes", least=1)
     entries: list[SearchEntry] = []
-    spent = 0
-
-    def remaining() -> int | None:
-        return None if budget is None else budget - spent
-
     for code in divisor_codes(_field_of_order(q), n, 1):
         if code.k == n:
             continue
         try:
-            d_h = min_hamming_distance(code, "auto", budget=remaining())
-            spent += d_h.enumeration_count
-            d_p = min_pair_distance(code, "auto", budget=remaining())
-            spent += d_p.enumeration_count
+            d_h = ledger(min_hamming_distance, code)
+            d_p = ledger(min_pair_distance, code)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
-                f"search budget {budget} exhausted after {len(entries)} codes",
-                enumerated=spent + exc.enumerated,
-                partial=tuple(entries)) from exc
+                f"search stopped after {len(entries)} codes: {exc.what}",
+                enumerated=exc.enumerated, budget=exc.budget, partial=tuple(entries)) from exc
         entries.append(SearchEntry(code=code, d_hamming=d_h, d_pair=d_p))
         if max_codes is not None and len(entries) >= max_codes:
             break

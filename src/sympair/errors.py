@@ -85,20 +85,28 @@ class NotPrimeError(BadParameterError):
 class BudgetExceededError(SymPairError, RuntimeError):
     """A distance engine would exceed (or has exceeded) its work budget.
 
-    Carries the best information proven before stopping: ``lower_bound`` is a
-    sound lower bound on the queried distance, ``upper_bound`` the smallest
-    witness weight seen (``None`` if none), and ``enumerated`` the work
-    actually performed (encodings and column reductions).  Multi-code scans attach the entries they
-    finished as ``partial``.
+    One ``budget`` covers the whole call: both distances of ``analyze`` and
+    of the families, every code of the search, every residue code of the
+    product formula.  ``enumerated`` is all the work that call performed
+    (encodings and column reductions); the message states it against the
+    caller's ``budget`` after ``what``, the step that did not fit.
+    ``lower_bound`` is a sound lower bound on the queried distance,
+    ``upper_bound`` the smallest witness weight seen (``None`` if none).
+    ``partial`` holds the search's finished entries, or ``analyze``'s partial
+    report, where the stopped stage's ``enumeration_count`` is its own work.
     """
 
-    def __init__(self, message: str, *, lower_bound: int | None = None,
+    def __init__(self, what: str, *, lower_bound: int | None = None,
                  upper_bound: int | None = None, enumerated: int = 0,
-                 partial: tuple = ()):
-        super().__init__(message)
+                 budget: int | None = None, partial: tuple | dict = ()):
+        tally = "" if budget is None else f" ({enumerated} used, budget {budget})"
+        proven = "" if lower_bound is None else f"; proven so far: >= {lower_bound}"
+        super().__init__(what + tally + proven)
+        self.what = what
         self.lower_bound = lower_bound
         self.upper_bound = upper_bound
         self.enumerated = enumerated
+        self.budget = budget
         self.partial = partial
 
 

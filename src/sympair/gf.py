@@ -280,7 +280,7 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
+        if require_int(e, "exponent") < 0:
             return self.pow(self.inv(a), -e)
         if self.base is None:
             return pow(a, e, self.p)

@@ -27,8 +27,7 @@ from pathlib import Path
 from . import gf, poly
 from ._version import __version__
 from .bounds import BoundReport, bound_report
-from .code import (ConstacyclicCode, DistanceResult, check_budget, min_hamming_distance,
-                   min_pair_distance)
+from .code import ConstacyclicCode, DistanceResult, Ledger, min_hamming_distance, min_pair_distance
 from .errors import BadParameterError, BudgetExceededError, require_int
 
 _SPEC_KEYS = {"p", "m", "n", "lambda", "generator", "defining_set"}
@@ -184,7 +183,7 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
     whose ``budget_exhausted`` names the stage: "d_hamming", "d_pair" or
     "bounds".
     """
-    check_budget(budget)
+    ledger = Ledger(budget)
     t0 = time.perf_counter()
     found: dict[str, DistanceResult] = {}
 
@@ -195,16 +194,12 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
             # the bound report quotes the product formula ("auto" here): run it within budget
             yield "bounds", min_hamming_distance, "auto"
 
-    spent = 0
     for stage, engine, how in stages():
         try:
-            found[stage] = engine(code, how, budget=None if budget is None else budget - spent)
+            found[stage] = ledger(engine, code, how)
         except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                str(exc), lower_bound=exc.lower_bound, upper_bound=exc.upper_bound,
-                enumerated=spent + exc.enumerated,
-                partial=_partial_report(exc, code, stage, found)) from exc
-        spent += found[stage].enumeration_count
+            exc.partial = _partial_report(exc.__cause__, code, stage, found)
+            raise
     d_h, d_p = found["d_hamming"], found["d_pair"]
     return AnalysisReport(
         code=code,
@@ -216,6 +211,6 @@ def analyze(code: ConstacyclicCode, strategy: str = "auto", *,
         version=__version__,
         perf={
             "seconds": round(time.perf_counter() - t0, 6),
-            "encodings": spent,
+            "encodings": ledger.spent,
         },
     )

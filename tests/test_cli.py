@@ -98,6 +98,13 @@ def test_analyze_budget_emits_partial_and_exit_3(tmp_path, capsys):
     assert payload["d_pair"]["is_lower_bound"] is True
 
 
+def test_analyze_budget_message_names_the_budget_given(tmp_path, capsys):
+    spec = _write_spec(tmp_path, SPEC_15_11)
+    rc, out = _run(capsys, ["analyze", spec, "--budget", "50"])
+    assert rc == cli.EXIT_BUDGET == 3
+    assert "(21 used, budget 50)" in out
+
+
 def test_analyze_negative_budget_is_input_error(tmp_path, capsys):
     spec = _write_spec(tmp_path, SPEC_15_11)
     rc = cli.main(["analyze", spec, "--budget", "-5"])

@@ -73,6 +73,18 @@ def test_prime_field_arithmetic_examples():
     assert f5.div(1, 2) == 3
 
 
+def test_pow_rejects_bad_exponents():
+    """The exponent is an int, not a bool, as in ``poly.powmod``: 1.5 once
+    raised TypeError and True answered a^1."""
+    tower = gf.tower_field(gf.extension_field(2, 2), 2)
+    for field in (gf.prime_field(5), gf.extension_field(3, 2), tower):
+        for bad in (1.5, "2", True, None):
+            with pytest.raises(errors.BadParameterError, match="exponent"):
+                field.pow(2, bad)
+        assert field.pow(2, 0) == 1 and field.pow(2, 1) == 2
+        assert field.pow(2, -1) == field.inv(2)
+
+
 def test_extension_field_root_squares_to_modulus_tail():
     # alpha = root of x^2 + 1 over GF(3), canonical value 3; alpha^2 = -1 = 2
     f9 = gf.extension_field(3, 2)

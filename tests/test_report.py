@@ -166,6 +166,10 @@ def test_analyze_budget_attaches_partial_report():
     assert partial["d_hamming"]["certified"] is True
     assert partial["d_pair"]["is_lower_bound"] is True
     assert partial["d_pair"]["certified"] is False
+    # the stopped stage counts its own work; the error counts the request's
+    assert partial["d_hamming"]["enumeration_count"] == 3
+    assert partial["d_pair"]["enumeration_count"] == 18
+    assert exc_info.value.enumerated == 21
 
 
 def test_analyze_budget_spent_on_hamming_side():
@@ -207,6 +211,36 @@ _BUDGETED = {
     "mds_n_6": lambda b: constructions.mds_n_6(5, 24, budget=b),
     "search_optimal_cyclic": lambda b: constructions.search_optimal_cyclic(3, 8, budget=b),
 }
+
+
+def _code_21_14_5():
+    """The ``code-21-14-5-gf7`` check's code: two nontrivial residue codes."""
+    f7 = gf.prime_field(7)
+    x, c = Poly.x(f7), (lambda v: Poly(f7, (v,)))
+    return ConstacyclicCode(f7, 21, 1, (x - c(1)) ** 4 * (x - c(2)) ** 2 * (x - c(4)))
+
+
+#: Requests of several distance calls, each with a budget that runs out
+#: after its first call has been charged.
+_SHARED_BUDGET = {
+    "analyze": (lambda b: report.analyze(_example_15_11(), budget=b), 50),
+    "mds_3p_8": (lambda b: constructions.mds_3p_8(7, "full", budget=b), 1064),
+    "search_optimal_cyclic": (lambda b: constructions.search_optimal_cyclic(5, 15, budget=b), 20),
+    "castagnoli_details": (lambda b: bounds.castagnoli_details(_code_21_14_5(), budget=b), 4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SHARED_BUDGET))
+def test_budget_error_states_the_requests_work_against_the_callers_budget(entry):
+    run, budget = _SHARED_BUDGET[entry]
+    with pytest.raises(errors.BudgetExceededError) as exc_info:
+        run(budget)
+    exc = own = exc_info.value
+    while own.__cause__ is not None:  # down to the engine call that stopped
+        own = own.__cause__
+    assert own.enumerated < exc.enumerated <= budget  # the calls before it count too
+    assert exc.budget == budget
+    assert f"({exc.enumerated} used, budget {budget})" in str(exc)
 
 
 @pytest.mark.parametrize("entry", sorted(_BUDGETED))
