@@ -1,6 +1,7 @@
 """Constacyclic codes, the symbol-pair metric, and the distance engines."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -1041,6 +1042,49 @@ def test_distances_do_not_depend_on_which_ran_first():
                             full[first] if first_budget is None else alone[first])
                         assert _outcome(second, c, strategy, budget) == alone[second], \
                             (c, strategy, budget, second)
+
+
+def test_engine_outcomes_under_every_budget_are_frozen():
+    """Every engine's value, method and count, or budget error, is pinned.
+
+    Recipe: for each code of the corpus below, each strategy (``exhaustive``
+    only where q^k <= 4096), each distance and each budget, take the result's
+    (value, method, enumeration_count), or the BudgetExceededError's (what,
+    lower_bound, upper_bound, enumerated), and feed its ``repr`` and a newline
+    to one sha256.  Each call gets a fresh code, so no kept level is shared.
+    The corpus holds the two low-rate codes, the ternary [28,6] code, a
+    repeated-root code (``auto`` takes ``castagnoli``), a k = 1 code (the
+    dependency search ends at support Z_n) and a GF(4) code.  The unbounded
+    dependency search on the [28,6] code is left out: its levels up to
+    d_H = 15 hold 1.5 * 10^8 worst-case column reductions.
+    """
+    ternary = _ternary_28_6()
+    corpus = _low_rate_codes() + [
+        ternary,
+        _example_15_11(),
+        ConstacyclicCode.from_generator(F5, 3, 2, Poly(F5, [4, 3, 1])),
+        ConstacyclicCode.from_generator(F4, 9, 1, Poly(F4, [2, 3, 0, 3, 1])),
+    ]
+    budgets = (0, 1, 2, 3, 5, 8, 13, 30, 100, 1000, None)
+    digest, calls = hashlib.sha256(), 0
+    for c0 in corpus:
+        strategies = ["auto", "bounded", "dependency"] + (
+            ["exhaustive"] if c0.field.q ** c0.k <= 1 << 12 else [])
+        for strategy in strategies:
+            for distance in (code.min_hamming_distance, code.min_pair_distance):
+                for budget in budgets:
+                    if (c0, strategy, budget) == (ternary, "dependency", None):
+                        continue
+                    c = ConstacyclicCode(c0.field, c0.n, c0.lam, c0.g)
+                    try:
+                        r = distance(c, strategy, budget=budget)
+                        outcome = (r.value, r.method, r.enumeration_count)
+                    except errors.BudgetExceededError as exc:
+                        outcome = (exc.what, exc.lower_bound, exc.upper_bound, exc.enumerated)
+                    digest.update(f"{outcome!r}\n".encode())
+                    calls += 1
+    assert calls == 460
+    assert digest.hexdigest()[:12] == "ed74738ad649"
 
 
 def test_encode_block_matches_encode_at_every_dtype_boundary():
