@@ -23,65 +23,68 @@ Distance engines
 ----------------
 ``min_hamming_distance`` / ``min_pair_distance`` reduce both distances to
 minimum (pair) weight over nonzero codewords by linearity.  After their
-input checks both call one routine, ``_min_weight(..., for_pair)``, which
-dispatches among four methods (strategy ``bounded`` picks ``bounded_weight``):
+input checks both call ``_min_weight(..., for_pair)``.  Three of its four
+methods are level engines (strategy ``bounded`` picks ``bounded_weight``);
+``_levels`` lists their levels as (floor, worst-case work, level), the
+floor bounding the weight of each nonzero codeword not seen before it.
 
-* ``exhaustive`` — scan all q^k - 1 nonzero codewords.
-* ``bounded_weight`` — encode with the standard form and enumerate
-  messages level by level of increasing Hamming weight t.
-  Scalar multiples share a support, so level t takes only the messages
-  whose first nonzero value is 1, C(k, t) (q-1)^(t-1) of them, and
-  ``enumeration_count`` counts these scalar classes.  The constacyclic
-  shift keeps both weights and maps the window 0..k-1 onto every other
-  window of k cyclically consecutive positions, each an information set
-  too.  So after levels 1..t-1 a codeword with at most t - 1 nonzeros in
-  some window has a shift that was already seen, and an unseen codeword
-  has >= t nonzeros in all n windows.  Each position lies in k of them, so
-  its Hamming weight w is >= ceil(n t / k).  A window that covers one of
-  its zero runs still holds t nonzeros, so no zero run is longer than
-  k - t, and the n - w zeros fill at least (n - w) / (k - t) runs.  A word
-  that is neither zero nor all-nonzero has as many nonzero runs as zero
-  runs and pair weight w + (nonzero runs) (Chen-Lin-Liu, arXiv
-  1605.03460); w + ceil((n - w) / (k - t)) does not decrease in w, so the
-  pair floor is its value at w = ceil(n t / k).  Both floors are n once
-  ceil(n t / k) reaches n (an all-nonzero word has pair weight n).  One
-  rule serves both distances: stop before level t once the floor reaches
-  the best weight seen (Brouwer-Zimmermann for cyclic codes; Grassl
-  2006).  The floor is also the lower bound a ``BudgetExceededError``
-  reports and what ``auto`` counts levels with.
+* ``exhaustive`` — all q^k - 1 nonzero words in one level, floor 1 (d_p: 2).
+* ``bounded_weight`` — encode with the standard form; level t = 1..k holds
+  the messages of Hamming weight t.  Scalar multiples share a support, so
+  level t takes only the messages whose first nonzero value is 1,
+  C(k, t) (q-1)^(t-1) of them, and ``enumeration_count`` counts these
+  scalar classes.  The constacyclic shift keeps both weights and maps the
+  window 0..k-1 onto every other window of k cyclically consecutive
+  positions, each an information set too.  So after levels 1..t-1 a
+  codeword with at most t - 1 nonzeros in some window has a shift that was
+  already seen, and an unseen codeword has >= t nonzeros in all n windows.
+  Each position lies in k of them, so its Hamming weight w is
+  >= ceil(n t / k).  A window that covers one of its zero runs still holds
+  t nonzeros, so no zero run is longer than k - t, and the n - w zeros fill
+  at least (n - w) / (k - t) runs.  A word that is neither zero nor
+  all-nonzero has as many nonzero runs as zero runs and pair weight w +
+  (nonzero runs) (Chen-Lin-Liu, arXiv 1605.03460); w + ceil((n - w) / (k -
+  t)) does not decrease in w, so the pair floor is its value at
+  w = ceil(n t / k).  Both floors are n once ceil(n t / k) reaches n (an
+  all-nonzero word has pair weight n).
 * ``dependency`` — the parity side.  Pair weight depends only on the
   support S: f(S) = |S| + (circular runs of S) for S != Z_n, f(Z_n) = n,
   and adding a position never lowers f.  So d_p = min f(S) and d_H =
   min |S| over the supports S whose columns of the parity-check matrix H
   are linearly dependent over GF(q).  A constacyclic shift rotates
   supports, so S may start a run at 0 (0 in S, n - 1 not in S); Z_n, of
-  cost n, is the one exception.  Supports are scanned depth first in
-  increasing position order, one cost level D at a time (iterative
-  deepening), carrying the columns still to test reduced against an
-  echelon basis of the prefix; a prefix is extended only while its cost is
-  below D, and the first dependent support ends the search with value D.
-  ``enumeration_count`` counts column reductions.
-* ``castagnoli`` — ``auto``'s choice for the Hamming side of repeated-root
-  cyclic codes: the residue-code product formula in :mod:`sympair.bounds`.
+  cost n, is the one exception.  Level D, of floor D, scans supports depth
+  first in increasing position order, carrying the columns still to test
+  reduced against an echelon basis of the prefix; a prefix is extended
+  only while its cost is below D, and the first dependent support ends the
+  level with weight D.  ``enumeration_count`` counts column reductions.
 
-Otherwise ``auto`` compares the two sides' worst-case costs, fixed before
-any work.  Both searches end by the level of g's own (pair) weight, top: g
-is a codeword, and x^(k-1) g a level-1 word.  The message side costs
-q^k - 1 encodings in one level when that is at most 4096 (and is then scanned
-exhaustively), else the normalised levels up to the window stop at top; it
-pays ``_LEVEL_US`` per level (Hamming or pair) and ``_SYMBOL_US`` per
-encoded symbol (n per encoding), but neither the standard form (about one
-level-1 scan) nor the levels that the other distance may have kept, so the
-choice reads only the code.  The parity side costs, per level D <= top,
-the number of run-start-at-0 supports of at most n - k + 1 positions and
-cost <= D, at ``_REDUCTION_US`` each.  The cheaper side wins; ties go to
-the message side.  The unit costs, in microseconds for prime / extension
-fields, were measured once on a 2-core Linux machine (CPython 3.11.7,
-numpy 2.4.6, one BLAS thread) by timing both sides of each of the 4101
-``auto`` calls of the three ``bench`` workloads (best of 3) and fitting
-each side's time to its counts by non-negative least squares on relative
-error: 34 (Hamming) and 69 (pair) per level, charged 50 and 69; 0.040 /
-0.069 per symbol.  (At 50 a pair level, the run-aware floor sent
+One loop in ``_min_weight`` runs all three, and one rule serves both
+distances: stop before a level once its floor reaches the best weight seen
+(Brouwer-Zimmermann for cyclic codes; Grassl 2006).  Before each level it
+raises ``BudgetExceededError``, with the floor as lower bound and the best
+weight seen as upper bound, if the level's worst-case work would take the
+work done past the budget.  The fourth method, ``castagnoli``, is
+``auto``'s choice for the Hamming side of repeated-root cyclic codes: the
+residue-code product formula in :mod:`sympair.bounds`.
+
+Otherwise ``auto`` prices the same ``_levels`` on both sides, fixed before
+any work.  g is a codeword of (pair) weight top, so a message-side scan
+sees x^(k-1) g in its first level and runs after it only the levels whose
+floor is below top, and the dependency search runs its levels D <= top.
+The message side is the exhaustive scan when q^k - 1 <= 4096, else the
+bounded scan.  It pays ``_LEVEL_US`` per level (Hamming or pair) and
+``_SYMBOL_US`` per encoded symbol (n per encoding), but neither the
+standard form (about one level-1 scan) nor the levels that the other
+distance may have kept, so the choice reads only the code.  The parity side
+pays ``_REDUCTION_US`` per worst-case column reduction.  The cheaper side
+wins; ties go to the message side.  The unit costs, in microseconds for
+prime / extension fields, were measured once on a 2-core Linux machine
+(CPython 3.11.7, numpy 2.4.6, one BLAS thread) by timing both sides of each
+of the 4101 ``auto`` calls of the three ``bench`` workloads (best of 3) and
+fitting each side's time to its counts by non-negative least squares on
+relative error: 34 (Hamming) and 69 (pair) per level, charged 50 and 69;
+0.040 / 0.069 per symbol.  (At 50 a pair level, the run-aware floor sent
 ``mds_3p_7(5)``'s pair call to the message side, where it cost more than
 the parity side it left.)  A reduction took 1.5 / 2.4, but the search ends
 at its first dependent support, and on the calls with over 300 worst-case
@@ -691,15 +694,6 @@ def check_budget(value, name: str = "budget", least: int = 0) -> None:
         require_int(value, name, least)
 
 
-def _require_budget(used: int, next_cost: int, budget: int | None,
-                    lower_bound: int, best_seen: int | None, what: str,
-                    unit: str = "encodings") -> None:
-    if budget is not None and used + next_cost > budget:
-        raise BudgetExceededError(f"{what}: next step needs {next_cost} {unit}",
-                                  lower_bound=lower_bound, upper_bound=best_seen,
-                                  enumerated=used, budget=budget)
-
-
 class Ledger:
     """One work budget for every distance call of a request: each
     ``ledger(distance, code, strategy)`` gets what is left and adds its
@@ -748,34 +742,26 @@ def _dependency_levels(n: int, k: int, for_pair: bool) -> tuple[tuple[int, int],
                 exact[s + runs] += math.comb(s - 1, runs - 1) * math.comb(m - s, runs - 1)
         else:
             exact[s] += math.comb(m - 1, s - 1)
-    first = 2 if for_pair else 1
+    first, last = 1 + for_pair, (r + 1 if k >= 2 else n - 1) + for_pair
+    levels = list(zip(range(first, last + 1), itertools.accumulate(exact[first:last + 1])))
     if k >= 2:
-        last = r + 2 if for_pair else r + 1
-    else:
-        last = n if for_pair else n - 1
-    levels = []
-    total = 0
-    for cost in range(first, last + 1):
-        total += exact[cost]
-        levels.append((cost, total))
-    if k >= 2:
-        levels[-1] = (last, min(total, 1 + r * (n - 2)))
+        levels[-1] = (last, min(levels[-1][1], 1 + r * (n - 2)))
     return tuple(levels)
 
 
 class _Dependent(Exception):
-    """A dependent support was found; ends the current level."""
+    """A dependent support was found; ends the level being scanned."""
 
 
-def _dependency_search(code: ConstacyclicCode, for_pair: bool,
-                       budget: int | None) -> DistanceResult:
-    """Minimum cost of a support whose parity-check columns are dependent.  The
-    count depends only on which supports are dependent: the same for every H."""
-    n, k = code.n, code.k
-    F = code.field
-    cols = code._columns
+def _dependency_search(code: ConstacyclicCode, for_pair: bool):
+    """The parity side's ``scan(D, work)``: (D, column reductions) if a support
+    of cost D is dependent, else (n + 1, column reductions), its state built
+    once per search.  The count depends only on which supports are dependent."""
+    n, F, cols = code.n, code.field, code._columns
     axpy = _axpy(F)  # over u's nonzeros: H's unit columns keep many sparse
-    count = 0
+    root_cost = 2 if for_pair else 1
+    rest = [(j, cols[j]) for j in range(1, n - 1)]
+    level = count = 0
 
     def reduce_by(u, cand, start, j, cost):
         """Reduce the candidates cand[start:] still affordable after adding
@@ -807,21 +793,45 @@ def _dependency_search(code: ConstacyclicCode, for_pair: bool,
                 break
             visit(j, cost_j, reduce_by(u, cand, idx + 1, j, cost_j))
 
-    what = "dependency pair search" if for_pair else "dependency Hamming search"
-    root_cost = 2 if for_pair else 1
-    rest = [(j, cols[j]) for j in range(1, n - 1)]
-    for level, worst in _dependency_levels(n, k, for_pair):
-        _require_budget(count, worst, budget, level, None, what, "column reductions")
+    def scan(D, _work):
+        nonlocal level, count
+        level, count = D, 1
         try:
-            count += 1
             if not any(cols[0]):
                 raise _Dependent
             if root_cost < level:
                 visit(0, root_cost, reduce_by(cols[0], rest, 0, 0, root_cost))
         except _Dependent:
-            return DistanceResult(level, "dependency", count)
-    # no proper support is dependent: every nonzero codeword has support Z_n
-    return DistanceResult(n, "dependency", count)
+            return D, count
+        return n + 1, count
+    return scan
+
+
+def _levels(code: ConstacyclicCode, method: str, for_pair: bool):
+    """Lazily yield (floor, worst-case work, level) for each level of a level
+    engine, in the order ``_min_weight`` runs them (module docstring)."""
+    q, n, k = code.field.q, code.n, code.k
+    if method == "exhaustive":
+        yield 1 + for_pair, q ** k - 1, 0
+    elif method == "bounded_weight":
+        for t in range(1, k + 1):
+            yield _window_floor(n, k, t, for_pair), _level_size(q, k, t), t
+    else:
+        for cost, worst in _dependency_levels(n, k, for_pair):
+            yield cost, worst, cost
+
+
+def _worst_case(code: ConstacyclicCode, method: str, for_pair: bool,
+                top: int) -> tuple[int, int]:
+    """(levels, work) the level loop runs at most when g has (pair) weight
+    top: a message-side scan sees x^(k-1) g in its first level and then runs
+    the levels whose floor is below top, the dependency search D <= top."""
+    reach, levels, work = top + (method == "dependency"), 0, 0
+    for floor, size, _level in _levels(code, method, for_pair):
+        if levels and floor >= reach:
+            break
+        levels, work = levels + 1, work + size
+    return levels, work
 
 
 def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) -> str:
@@ -834,20 +844,12 @@ def _resolve_strategy(code: ConstacyclicCode, strategy: str, *, for_pair: bool) 
             return "castagnoli"
         q, n, k = code.field.q, code.n, code.k
         ext = code.field.base is not None
-        # g is a codeword, and x^(k-1) g a level-1 word of the same weights,
-        # so either side's search ends by the level of g's own weight
         word = code.g.coeffs + (0,) * (n - len(code.g.coeffs))
         top = pair_weight(word) if for_pair else hamming_weight(word)
-        if q ** k - 1 <= _AUTO_EXHAUSTIVE_LIMIT:
-            side, levels, encodings = "exhaustive", 1, q ** k - 1
-        else:
-            side = "bounded_weight"
-            levels = max(t for t in range(1, k + 1)
-                         if t == 1 or _window_floor(n, k, t, for_pair) < top)
-            encodings = sum(_level_size(q, k, t) for t in range(1, levels + 1))
+        side = "exhaustive" if q ** k - 1 <= _AUTO_EXHAUSTIVE_LIMIT else "bounded_weight"
+        levels, encodings = _worst_case(code, side, for_pair, top)
         message = _LEVEL_US[for_pair] * levels + _SYMBOL_US[ext] * n * encodings
-        reductions = sum(worst for cost, worst in _dependency_levels(n, k, for_pair)
-                         if cost <= top)
+        _, reductions = _worst_case(code, "dependency", for_pair, top)
         return "dependency" if _REDUCTION_US[ext] * reductions < message else side
     raise BadParameterError(
         f"unknown strategy {strategy!r}; "
@@ -858,38 +860,37 @@ def _min_weight(code: ConstacyclicCode, strategy: str, budget: int | None,
                 for_pair: bool) -> DistanceResult:
     """Minimum Hamming (or pair) weight over the nonzero codewords.
 
-    The bounded scan deepens through message-weight levels t, one message
-    per scalar class, and stops before level t once the window floor
-    reaches the smallest weight seen (see ``_window_floor``).
+    One loop runs every level engine's ``_levels``.  Before each level it
+    stops once the floor reaches the best weight seen, and raises
+    BudgetExceededError (bounds: the floor, the best seen) if the level's
+    worst-case work would take the work done past ``budget``.
     """
     resolved = _resolve_strategy(code, strategy, for_pair=for_pair)
     if resolved == "castagnoli":
         from . import bounds
         value, _terms, enumerated = bounds.castagnoli_details(code, budget=budget)
         return DistanceResult(value, "castagnoli", enumerated)
-    if resolved == "dependency":
-        return _dependency_search(code, for_pair, budget)
-
-    q, k, n = code.field.q, code.k, code.n
     name = "pair" if for_pair else "Hamming"
-    if resolved == "exhaustive":
-        total = q ** k - 1
-        _require_budget(0, total, budget, 1 + for_pair, None, f"exhaustive {name} scan")
-        return DistanceResult(_level_minima(code, 0)[for_pair], "exhaustive", total)
-
-    best = n + 1 + for_pair  # sentinel: no codeword seen yet
-    count = 0
-    for t in range(1, k + 1):
-        floor = _window_floor(n, k, t, for_pair)
+    if resolved == "dependency":
+        scan = _dependency_search(code, for_pair)
+        what, unit = f"dependency {name} search", "column reductions"
+    else:
+        def scan(t, work):  # a message-side level encodes every scalar class
+            return _level_minima(code, t)[for_pair], work
+        what, unit = f"{resolved.replace('_', '-')} {name} scan", "encodings"
+    n = code.n
+    best, count = n + 1, 0  # n + 1: nothing seen yet
+    for floor, work, level in _levels(code, resolved, for_pair):
         if floor >= best:
             break
-        size = _level_size(q, k, t)
-        _require_budget(count, size, budget, floor,  # floor < best here
-                        best if best <= n else None, f"bounded-weight {name} scan")
-        best = min(best, _level_minima(code, t)[for_pair])
-        count += size
-    assert best <= n, "a nonzero codeword must have been seen"
-    return DistanceResult(best, "bounded_weight", count)
+        if budget is not None and count + work > budget:
+            raise BudgetExceededError(f"{what}: next step needs {work} {unit}",
+                                      lower_bound=floor, upper_bound=best if best <= n else None,
+                                      enumerated=count, budget=budget)
+        seen, done = scan(level, work)
+        best, count = min(best, seen), count + done
+    assert best <= n or resolved == "dependency", "a message-side level sees a codeword"
+    return DistanceResult(min(best, n), resolved, count)  # best > n: only Z_n is dependent
 
 
 def min_hamming_distance(code: ConstacyclicCode, strategy: str = "auto", *,

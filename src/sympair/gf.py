@@ -1,11 +1,11 @@
 """Exact arithmetic in prime and extension finite fields.
 
-A :class:`Field` knows its characteristic, modulus and (lazily built)
-exp/log tables.  Canonical integers are the only element type: an element
-is the value ``sum(c_i * p**i)`` of its coordinate vector
-``(c_0, ..., c_{m-1})`` in the power basis of the modulus root, and every
-``Field`` method and distinguished-element function takes and returns these
-plain ints.
+A :class:`Field` knows its characteristic and modulus; an extension field
+also holds exp, log and Zech tables, built when the field is made.
+Canonical integers are the only element type: an element is the value
+``sum(c_i * p**i)`` of its coordinate vector ``(c_0, ..., c_{m-1})`` in the
+power basis of the modulus root, and every ``Field`` method and
+distinguished-element function takes and returns these plain ints.
 
 Extension fields GF(p^m) use the lexicographically smallest monic
 irreducible modulus, where candidates are ordered by ascending canonical
@@ -23,7 +23,8 @@ GF(p).  An extension or tower field builds exp, log and Zech tables once,
 when it is made, from its primitive element ``gen``, the smallest candidate
 that passes the order test (:func:`primitive_element`, the one generator
 search for every field).  a -> a * gen is GF(p)-linear on the digits, so
-exp/log cost m schoolbook products (the images of the basis elements p^i),
+exp/log cost m products of polynomials over the immediate base modulo the
+modulus (the images of the basis elements p^i, by :mod:`sympair.poly`),
 one matmul mod p over all q digit vectors giving ``step[a] = a * gen``, and
 a walk of the orbit of 1 through ``step``.  1 + a adds 1 mod p to a's
 lowest digit, so the Zech logarithms z[e] = log(1 + gen^e) (Huber, IEEE
@@ -98,23 +99,19 @@ class Field:
     no reduction, and z reads any e from -2(q - 1) to 2q - 3 mod q - 1.
     """
 
-    __slots__ = ("p", "q", "m", "base", "modulus", "_rel_deg", "_sub_q",
-                 "exp", "log", "zech", "_gen", "_hash")
+    __slots__ = ("p", "q", "m", "base", "modulus", "exp", "log", "zech", "_gen", "_hash")
 
     def __init__(self, p: int, modulus: tuple[int, ...], base: "Field | None"):
         self.p = p
         self.base = base
         self.modulus = tuple(modulus)
         r = len(self.modulus) - 1
-        self._rel_deg = r
         if base is None:
             self.q = p
             self.m = 1
-            self._sub_q = p
         else:
             self.q = base.q ** r
             self.m = base.m * r
-            self._sub_q = base.q
         if self.q > Q_LIMIT:
             raise OutOfScopeError(
                 f"field order {self.q} exceeds the supported limit {Q_LIMIT}")
@@ -168,24 +165,6 @@ class Field:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
     # ------------------------------------------------------------------
-    # digit helpers for extensions (coordinates over the immediate base)
-
-    def _vec(self, a: int) -> list[int]:
-        bq = self._sub_q
-        out = []
-        for _ in range(self._rel_deg):
-            out.append(a % bq)
-            a //= bq
-        return out
-
-    def _unvec(self, vec) -> int:
-        bq = self._sub_q
-        value = 0
-        for c in reversed(vec):
-            value = value * bq + c
-        return value
-
-    # ------------------------------------------------------------------
     # arithmetic on canonical integers
 
     def add(self, a: int, b: int) -> int:
@@ -213,42 +192,18 @@ class Field:
         la = self.log[a]
         return self.exp[la + self.zech[y - la]]
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free product: schoolbook over the base, reduced by the modulus."""
-        if self.base is None:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        base = self.base
-        r = self._rel_deg
-        va = self._vec(a)
-        vb = self._vec(b)
-        prod = [0] * (2 * r - 1)
-        for i, ai in enumerate(va):
-            if ai:
-                for j, bj in enumerate(vb):
-                    if bj:
-                        prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        mod = self.modulus
-        for d in range(2 * r - 2, r - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for t in range(r):
-                    if mod[t]:
-                        prod[d - r + t] = base.sub(prod[d - r + t], base.mul(c, mod[t]))
-        return self._unvec(prod[:r])
-
     def _tables(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """(exp, log, zech) of an extension field in the class docstring's
         layout, from one linear map over all elements (module docstring)."""
         p, m, q1 = self.p, self.m, self.q - 1
-        gen = primitive_element(self)
+        h, as_poly = _over_base(self)
+        gen = as_poly(primitive_element(self))
         # a -> a * gen is GF(p)-linear on base-p digits: map every element
         # at once through the images of the basis elements p^i
         places = p ** np.arange(m, dtype=np.int64)
-        image = np.array([self.coords(self._mul_raw(p ** i, gen)) for i in range(m)],
-                         dtype=np.int64)
+        images = (as_poly(p ** i) * gen % h for i in range(m))
+        image = np.array([[d for j in range(len(self.modulus) - 1)
+                           for d in self.base.coords(f.coeff(j))] for f in images], dtype=np.int64)
         digits = np.arange(self.q, dtype=np.int64)[:, None] // places % p
         step = ((digits @ image % p) @ places).tolist()
         exp = [0] * q1
@@ -371,24 +326,40 @@ def _scan_modulus(base: Field, r: int) -> tuple[int, ...]:
 def primitive_element(field: Field) -> int:
     """The smallest canonical element of multiplicative order q - 1.
 
-    One search for every field, prime or not, kept on the field: it uses
-    table-free products, as the field's tables start from its result.
+    One search for every field, prime or not, kept on the field.  The
+    field's tables start from its result, so over an extension the order
+    test powers polynomials over the immediate base modulo the modulus.
+    The elements below base.q there are the base field's, of order below
+    q - 1, so the search starts at base.q.
     """
     if field._gen is None:
         qm1 = field.q - 1
+        if field.base is None:
+            first = 1
 
-        def raw_pow(a: int, e: int) -> int:
-            result = 1
-            while e:
-                if e & 1:
-                    result = field._mul_raw(result, a)
-                a = field._mul_raw(a, a)
-                e >>= 1
-            return result
+            def power(a: int, e: int):
+                return pow(a, e, field.p)
+        else:
+            from . import poly  # deferred: poly imports this module at load time
+            first, (h, as_poly) = field.base.q, _over_base(field)
 
-        field._gen = next(cand for cand in range(1, field.q)
-                          if all(raw_pow(cand, qm1 // r) != 1 for r in prime_factors(qm1)))
+            def power(a: int, e: int):
+                return poly.powmod(as_poly(a), e, h).coeffs
+
+        one = power(1, 0)  # the unit as ``power`` returns it
+        field._gen = next(cand for cand in range(first, field.q)
+                          if all(power(cand, qm1 // r) != one for r in prime_factors(qm1)))
     return field._gen
+
+
+def _over_base(field: Field):
+    """(modulus, element -> polynomial) of an extension over its immediate
+    base: an element's digits in base ``base.q`` are its coefficients."""
+    from . import poly  # deferred: poly imports this module at load time
+
+    base, r = field.base, len(field.modulus) - 1
+    return (poly.Poly(base, field.modulus),
+            lambda a: poly.Poly._trusted(base, [a // base.q ** j % base.q for j in range(r)]))
 
 
 def nth_roots_of_unity(field: Field, n: int) -> list[int]:

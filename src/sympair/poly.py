@@ -290,8 +290,9 @@ def powmod(f: Poly, e: int, mod: Poly) -> Poly:
     while e:
         if e & 1:
             result = (result * base) % mod
-        base = (base * base) % mod
         e >>= 1
+        if e:
+            base = (base * base) % mod
     return result
 
 

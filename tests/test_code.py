@@ -774,6 +774,33 @@ def test_auto_picks_the_side_with_the_smaller_worst_case():
     assert code.min_hamming_distance(n6).method == "dependency"
 
 
+def test_auto_prices_the_levels_the_loop_runs():
+    """``_worst_case`` walks ``_levels`` as the loop runs them when g's
+    weight, top, is the best it sees: the message side's first level and
+    then those whose floor is below top, and the dependency levels D <= top,
+    counted here from ``_window_floor``, ``_level_size`` and
+    ``_dependency_levels`` directly."""
+    cases = 0
+    for field in (F2, F3, gf.extension_field(2, 2)):
+        for n in range(2, 13):
+            for c in code.divisor_codes(field, n, 1):
+                q, k = field.q, c.k
+                if k == n:
+                    continue
+                for for_pair in (False, True):
+                    for top in range(1 + for_pair, n + 1):
+                        last = max(t for t in range(1, k + 1)
+                                   if t == 1 or code._window_floor(n, k, t, for_pair) < top)
+                        assert code._worst_case(c, "bounded_weight", for_pair, top) == (
+                            last, sum(code._level_size(q, k, t) for t in range(1, last + 1)))
+                        assert code._worst_case(c, "exhaustive", for_pair, top) == (1, q ** k - 1)
+                        reductions = sum(w for D, w in code._dependency_levels(n, k, for_pair)
+                                         if D <= top)
+                        assert code._worst_case(c, "dependency", for_pair, top)[1] == reductions
+                        cases += 1
+    assert cases == 8284
+
+
 def _log_axpy(field, a, x, y):
     """a + x y through the kernel's tables (``_log_tables``), as the
     representation the accumulator holds: a enters as the first term, a * 1,
@@ -1085,6 +1112,15 @@ def test_engine_outcomes_under_every_budget_are_frozen():
                     calls += 1
     assert calls == 460
     assert digest.hexdigest()[:12] == "ed74738ad649"
+
+
+def test_auto_prices_a_dependency_search_with_no_level():
+    """The [1,1] code: the Hamming dependency search lists no level, so
+    ``auto`` prices it at no work and takes it; the answer is n = 1."""
+    expected = {"auto": ("dependency", 0), "dependency": ("dependency", 0),
+                "bounded": ("bounded_weight", 1), "exhaustive": ("exhaustive", 1)}
+    for strategy, (method, count) in expected.items():
+        assert code.min_hamming_distance(CODE_1_1, strategy) == code.DistanceResult(1, method, count)
 
 
 def test_encode_block_matches_encode_at_every_dtype_boundary():

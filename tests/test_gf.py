@@ -285,8 +285,11 @@ def test_primitive_element_order_exact_by_power_walk():
 
 
 def test_primitive_element_is_smallest_with_full_order():
-    # canonical tie-break: no smaller element has order q - 1
-    for field in (gf.prime_field(7), gf.extension_field(3, 2)):
+    # canonical tie-break: no smaller element has order q - 1; over GF(4),
+    # GF(8) and the tower the search's first candidate, base.q, is the answer
+    for field in (gf.prime_field(7), gf.extension_field(3, 2), gf.extension_field(2, 2),
+                  gf.extension_field(2, 3), gf.extension_field(5, 2),
+                  gf.tower_field(gf.extension_field(2, 2), 2)):
         g = gf.primitive_element(field)
         assert field.order(g) == field.q - 1
         for v in range(1, g):
