@@ -1191,3 +1191,39 @@ def test_engines_agree_over_a_float64_field():
         exhaustive = distance(c, "exhaustive")
         assert exhaustive.enumeration_count == F.q - 1
         assert exhaustive.value == distance(c, "bounded").value == reference.value == 3
+
+
+def _qr_47_24():
+    """The binary quadratic-residue [47,24] code: g is the first degree-23
+    factor of x^47 - 1 in ``poly.factor`` order."""
+    g = Poly(F2, (1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1))
+    return ConstacyclicCode.from_generator(F2, 47, 1, g)
+
+
+def test_binary_qr_47_24_distances():
+    """d_H = 11 is the textbook value; the pair scan reaches level 7, whose
+    346104 scalar classes are many times the cell budget."""
+    c = _qr_47_24()
+    assert c.k == 24
+    expected = {code.min_hamming_distance: code.DistanceResult(11, "bounded_weight", 55454),
+                code.min_pair_distance: code.DistanceResult(17, "bounded_weight", 536154)}
+    for distance, result in expected.items():
+        assert distance(c, "bounded") == result
+        assert distance(ConstacyclicCode(F2, 47, 1, c.g)) == result
+    assert code._level_size(2, 24, 7) == 346104 > 60 * code._CELL_BUDGET // c.n
+
+
+def test_message_side_scans_refuse_what_they_cannot_index():
+    """The exhaustive scan refuses q^k beyond 2^62, and a weight level more
+    than 2^48 value tuples, before any work."""
+    F = gf.prime_field(65521)
+    x = Poly.x(F)
+    c54 = ConstacyclicCode.from_generator(F, 5, 1, x - Poly.one(F))
+    with pytest.raises(errors.OutOfScopeError,
+                       match=r"^q\^k = 18429861372428076481 overflows the exhaustive scanner$"):
+        code.min_hamming_distance(c54, "exhaustive")
+    c65 = ConstacyclicCode.from_generator(F, 6, 1, x - Poly.one(F))
+    with pytest.raises(errors.OutOfScopeError,
+                       match=r"^level 5 has 18428736271196160000 value tuples; "
+                             r"set a budget to keep scans sane$"):
+        code._level_minima(c65, 5)
