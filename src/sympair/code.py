@@ -92,44 +92,35 @@ reductions it did a median two thirds of them, so a worst-case reduction
 is charged 1.0 / 1.5.  Bare counts are not enough: on small codes the
 level costs outweigh the encodings.
 
-Both message-side scans run through one walker, ``_scan``: a weight level
-is many supports with a leading value 1 and values 1..q-1 after it, the
-exhaustive scan the one support of all k positions with values 0..q-1.  So
-a witness codeword, the argmin row, has one place to be kept for both
-(none is kept yet).  The block statistic gives both minima, and the code
-keeps each finished level's (least weight, least pair weight), the
-exhaustive scan counting as one level (``_level_minima``), as it keeps its
-standard form: ``analyze``'s second distance reads the levels its first
-one encoded.  Each distance still counts the levels its own proof needs
-and checks its budget before each of them, so values, counts and budget
-errors do not depend on which distance ran first.  ``_blocks`` cuts a scan
-into blocks of at most ``_CELL_BUDGET`` cells, its supports packed by one
-``np.fromiter`` call.  For prime fields a block is one batched float
-matmul, exact because every dot product is at most (q-1)^2 * t.  float32
-is used while that stays below 2^24, float64 otherwise: float32 halves the
-bytes a block moves, and on full-size blocks the float32 kernel ran 2-28%
-faster than float64 (one thread, numpy 2.4).  The exact product is
-converted to int32 / int64 and reduced mod q in integers: ``np.remainder``
-on the floats took about 25 ns a cell, against under 4 ns for the
-conversion and the integer remainder (2^18 float32 cells, one thread,
-numpy 2.4.6).  Extension fields sum the t terms in the log domain, two
-``np.take`` lookups a term, in O(q) arrays built once per field
-(``_log_tables``) from the same field tables the row update reads: a
-product's log is a sum of two logs, and acc <- norm[acc + zech[lb - acc]]
-adds it with no mask for a zero term, a zero accumulator or a
-cancellation.  Indices stay within 14 (q - 1), in int16 while that fits,
-else int32, so both scans run over every extension field.  On full
-2^18-cell blocks (n = 60, k = 30, random G, t = 2..6, best of 9) this
-took 0.67-1.04x the time of the q x q add/mul tables it replaced over
-GF(4) to GF(27) and 0.52-0.68x over GF(256), and the first bounded scan
-over GF(2^10) 0.6 ms and 0.5 MB of peak RSS, not 0.15 s and 24 MB (numpy
-2.4.6, one thread).  ``_CELL_BUDGET`` caps the cells of one block, and so
-peak memory.  It was set when a ``low-rate`` benchmark pass took 0.369 s and
-peaked at 34.6 MB, against 40.9 MB at 2^22 cells; with the window floors a
-pass takes about 0.01 s and peaks at 31.9 MB under either cap (4
-alternating 10 s runs each, 2 cores, CPython 3.11, numpy 2.4).  Levels are
-always scanned completely, in a fixed order, so results and enumeration
-counts are deterministic.
+Both message-side scans run through one builder, ``_blocks``, which adds
+rows of the standard form G.  In colex order the t-subsets of 0..k-1 with
+largest element j are the (t - 1)-subsets of 0..j-1 with j added (Knuth,
+TAOCP 4A, 7.2.1.3; Grassl 2006).  So level 1 is row j with value 1, and
+level t is, for each top position j >= t - 1 and each a in 1..q-1, the
+first C(j, t - 1) (q - 1)^(t - 2) classes of level t - 1 (those below j)
+plus a G_j: one add a class, and the leading value stays 1.  The
+exhaustive scan is the span: the words on positions 0..j are those on
+0..j-1 plus a G_j, a in 0..q-1, the zero word first and dropped.  Counts
+stay scalar classes (q^k - 1 words for the span), as do budget errors.
+Addition in GF(p^m) is digit-wise mod p on the canonical integers' base-p
+digits: XOR when p = 2 (every GF(2^m) and its towers), else m digit planes
+added mod p (``_Additive``).  The only products are the rows a G_j, by the
+field's exp and log or mod p.  Rows are codewords, so a witness, a block's
+argmin row, has one place to be kept (none is kept yet).  The code keeps
+each finished level's (least weight, least pair weight), the exhaustive
+scan counting as one level (``_level_minima``): ``analyze``'s second
+distance reads the levels its first one made.  Each distance still counts
+the levels its own proof needs and checks its budget before each, so
+values, counts and budget errors do not depend on which ran first.
+
+``_CELL_BUDGET`` = 2^18 cells caps a block, and so peak memory (a
+``low-rate`` pass peaked at 34.6 MB, against 40.9 MB at 2^22 cells).  A
+level is kept whole, as the next level's prefixes, while it fits
+``_KEEP_CELLS`` = 16 ``_CELL_BUDGET``; a larger level is made block by
+block from the last level kept, plus one row for each position added.
+The rows a G_j come from one table a scan while it fits ``_CELL_BUDGET``.
+Levels are scanned completely, in a fixed order, so results and counts are
+deterministic.
 """
 
 from __future__ import annotations
@@ -159,6 +150,9 @@ from .errors import (
 
 #: Work-array size (cells) per enumeration block; keeps peak memory modest.
 _CELL_BUDGET = 1 << 18
+
+#: A message-side level is kept whole, for the next level, while it fits.
+_KEEP_CELLS = 16 * _CELL_BUDGET
 
 #: Largest parity-check matrix (deg g * n cells) a code may walk at construction.
 _H_CELL_LIMIT = 1 << 24
@@ -320,7 +314,8 @@ class ConstacyclicCode:
         self._defining_set: frozenset[int] | None = None
         self._parity_check: np.ndarray | None = None
         self._std_form: np.ndarray | None = None
-        self._levels: dict[int, tuple[int, int]] = {}  # filled by _level_minima
+        self._minima: dict[int, tuple[int, int]] = {}  # by _level_minima: level -> minima
+        self._kept_level: tuple[int, np.ndarray] | None = None  # (t, words): last level made whole
         # filled by bounds.repeated_root_shape / bounds.castagnoli_details
         self._shape = None
         self._castagnoli = None
@@ -523,42 +518,6 @@ def _window_floor(n: int, k: int, t: int, for_pair: bool) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _log_tables(field: gf.Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (log, zech, norm) arrays of an extension field for the
-    message-side kernel (``_encode_block``), built once per field from its
-    ``log`` and ``zech``, about 22 q entries, int16 while 14 (q - 1) fits,
-    else int32.
-
-    With m = q - 1, a nonzero element's log is 0..m-1 and zero's is 3m.  A
-    term, digit x times entry y of G, has log lb = log x + log y + m: m..3m-2
-    for a nonzero product, 4m..5m-1 or 7m for a zero one.  The accumulator
-    holds a log, or -7m for zero, and adds a term by acc <- norm[acc +
-    zech[lb - acc]]:
-
-    * below 3m, zech[d] = m + z[d mod m] (3m where 1 + gen^d = 0): the Zech
-      sum of two nonzeros;
-    * from 3m to 8m, zech[d] = m: the product is zero and acc stays;
-    * from 8m, zech[d] = d: acc is zero, and the sum is the product.
-
-    norm[x] is x mod m below 3m and -7m (zero) from 3m on, so the first
-    term is norm[lb] alone.
-    """
-    m = field.q - 1
-    z = np.array(field.zech)
-    d = np.arange(14 * m + 1)
-    zech = np.where(d < 3 * m, m + z[d % m], np.where(d < 8 * m, m, d))
-    x = np.arange(7 * m + 1)
-    norm = np.where(x < 3 * m, x % m, -7 * m)
-    log = np.array(field.log)
-    log[0] = 3 * m
-    dtype = np.int16 if 14 * m < 1 << 15 else np.int32
-    tables = tuple(a.astype(dtype) for a in (log, zech, norm))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-@functools.lru_cache(maxsize=None)
 def _axpy(field: gf.Field):
     """The one row update w - c u, as a new list, over u's (index, value)
     nonzeros: the construction walk's and the dependency search's.  Built
@@ -595,66 +554,107 @@ def _axpy(field: gf.Field):
     return axpy
 
 
-def _encode_block(field: gf.Field, G: np.ndarray, digits: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-    """Nonzero mask of the codewords for a block of messages.
+class _Additive:
+    """A field in the message side's additive form, built once per field at
+    its first scan (``_additive``).  A word is ``planes`` rows of n symbols:
+    one of canonical integers, added by XOR, when p = 2; else m of base-p
+    digits, added mod p.  ``dtype`` holds a symbol, or two digits' sum."""
 
-    G: the standard form; digits: (R, t) message values; cols: (B, t) batch
-    of the information positions they occupy.  Returns a boolean array of
-    shape (B, R, n).  Prime fields: one float matmul, exact below 2^24
-    (float32) or 2^53 (float64), so it converts exactly to int32 / int64,
-    where it is reduced mod q.  Extension fields: t terms summed in the log
-    domain, two lookups a term (``_log_tables``).
-    """
-    q, t = field.q, digits.shape[1]
-    if field.base is None:
-        # float32 is exact while every dot product stays below 2^24
-        if (q - 1) ** 2 * t < (1 << 24):
-            dt, it = np.float32, np.int32
+    def __init__(self, field: gf.Field):
+        p = self.p = field.p
+        self.planes = 1 if p == 2 else field.m
+        self.dtype = np.min_scalar_type(field.q - 1 if p == 2 else 2 * (p - 1))
+        self.powers = p ** np.arange(self.planes)[:, None]
+        self.logs = None
+        if field.base is not None:  # log 0 = 2(q - 1) points into exp's zero tail
+            q1, log = field.q - 1, np.array(field.log, np.int32)
+            log[0] = 2 * q1
+            exp = np.zeros(4 * q1 + 1, np.int32)
+            exp[log[1:]] = exp[log[1:] + q1] = np.arange(1, field.q)
+            self.logs = exp, log
+
+    def times(self, a, b: np.ndarray) -> np.ndarray:
+        """The canonical products a b (broadcast)."""
+        if self.logs is None:
+            return a * b % self.p
+        exp, log = self.logs
+        return np.take(exp, np.take(log, a) + np.take(log, b))
+
+    def words(self, c: np.ndarray) -> np.ndarray:
+        """Canonical integers (..., n) as (..., planes, n) words."""
+        c = c[..., None, :]
+        return (c // self.powers % self.p if self.planes > 1 else c).astype(self.dtype)
+
+    def sum(self, x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+        """x + y, to be reduced by ``reduce`` when p is odd."""
+        return np.bitwise_xor(x, y, out=out) if self.p == 2 else np.add(x, y, out=out)
+
+    def reduce(self, x: np.ndarray) -> np.ndarray:
+        return x if self.p == 2 else np.remainder(x, self.p, out=x)
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.reduce(self.sum(x, y))
+
+
+_additive = functools.lru_cache(maxsize=None)(_Additive)
+
+
+def _scaled_rows(form: _Additive, G: np.ndarray, values: np.ndarray):
+    """``rows(j)``: the words a G_j, a in ``values``, from one table while
+    that fits ``_CELL_BUDGET``, else made one position at a call."""
+    a = values[:, None]
+    if G.size * len(values) * form.planes <= _CELL_BUDGET:
+        return form.words(form.times(a, G[:, None, :])).__getitem__
+    return lambda j: form.words(form.times(a, G[j]))
+
+
+def _parts(form: _Additive, rows, below, t: int, s: int, hi: int, off=None):
+    """(P, R) pairs whose words kept[:P] + r, r in R, list the words of
+    stage t with top position below hi once each (plus ``off``), from stage
+    s < t kept whole.  Stage t takes each top position j >= t - 1 and each
+    r in rows(j), over stage t - 1 below j: the first below(j, s) words of
+    stage s when t = s + 1."""
+    for j in range(t - 1, hi):
+        R = rows(j) if off is None else form.add(rows(j), off)
+        if t == s + 1:
+            yield below(j, s), R
         else:
-            dt, it = np.float64, np.int64
-        C = (digits.astype(dt) @ G.astype(dt)[cols]).astype(it)
-        C %= q
-        return C != 0
-    log, zech, norm = _log_tables(field)
-    ld, lg = np.take(log, digits), (np.take(log, G) + (q - 1))[cols]
-    terms = (ld[:, i][None, :, None] + lg[:, i, :][:, None, :] for i in range(t))
-    acc = np.take(norm, next(terms))
-    for lb in terms:  # in place: each term is a fresh array
-        lb -= acc
-        x = np.take(zech, lb)
-        x += acc
-        acc = np.take(norm, x)
-    return acc != norm[-1]
+            for r in R:
+                yield from _parts(form, rows, below, t - 1, s, j, r)
 
 
-def _blocks(supports, rows: range, n: int):
-    """Yield (support batch, row slice) blocks that cover every (support,
-    row) pair once, at most _CELL_BUDGET cells each: a batch of supports
-    sharing every row, or one support with a slice of the rows."""
-    chunk = max(1, _CELL_BUDGET // n)
-    batch_size = max(1, chunk // len(rows))
-    supports = iter(supports)
-    for first in supports:  # each batch is its first support and the next ones
-        rest = itertools.islice(supports, batch_size - 1)
-        batch = np.fromiter(itertools.chain(first, itertools.chain.from_iterable(rest)),
-                            dtype=np.intp).reshape(-1, len(first))
-        for a in range(0, len(rows), chunk):
-            yield batch, rows[a:a + chunk]
+def _blocks(form: _Additive, kept: np.ndarray, s: int, t: int, rows, below, hi):
+    """(blocks of stage t's words, each at most ``_CELL_BUDGET`` cells,
+    (stage, words) last kept), from the words ``kept`` of stage s <= t.
+    Stages s + 1, s + 2, ... are made whole, each from the one before, while
+    they fit ``_KEEP_CELLS``; a larger one block by block from the last kept."""
+    shape, width = kept.shape[1:], kept[0].size
+    while s < t and (size := below(hi(s + 1), s + 1)) * width <= _KEEP_CELLS:
+        words, at = np.empty((size,) + shape, form.dtype), 0
+        for P, R in _parts(form, rows, below, s + 1, s, hi(s + 1)):
+            form.sum(kept[None, :P], R[:, None], words[at:at + len(R) * P].reshape(-1, P, *shape))
+            at += len(R) * P
+        kept, s = form.reduce(words), s + 1
+    step = max(1, _CELL_BUDGET // width)  # words a block
+
+    def stream():
+        for P, R in _parts(form, rows, below, t, s, hi(t)):
+            per = max(1, step // P)  # rows of R a block takes
+            for a in range(0, len(R), per):
+                for b in range(0, P, step):
+                    block = form.add(kept[None, b:min(b + step, P)], R[a:a + per, None])
+                    yield block.reshape(-1, *shape)
+    if s == t:
+        return (kept[a:a + step] for a in range(0, len(kept), step)), (s, kept)
+    return stream(), (s, kept)
 
 
-def _scan(field: gf.Field, G: np.ndarray, supports, rows: range, base: int,
-          shift: int) -> tuple[int, int]:
-    """(least weight, least pair weight) over the messages that carry rows
-    ``rows`` of the mixed-radix table of ``base`` (entries + shift) on every
-    support."""
-    stats = []
-    for batch, sl in _blocks(supports, rows, G.shape[1]):
-        powers = base ** np.arange(batch.shape[1] - 1, -1, -1, dtype=np.int64)
-        idx = np.arange(sl.start, sl.stop, dtype=np.int64)
-        digits = idx[:, None] // powers % base + shift
-        stats.append(_stat_minima(_encode_block(field, G, digits, batch)))
-    return tuple(map(min, zip(*stats)))
+def _nonzero(words: np.ndarray) -> np.ndarray:
+    """Nonzero mask (rows, n) of a block of words."""
+    nz = words[:, 0] != 0
+    for plane in range(1, words.shape[1]):
+        nz |= words[:, plane] != 0
+    return nz
 
 
 def _stat_minima(nz: np.ndarray) -> tuple[int, int]:
@@ -669,23 +669,31 @@ def _stat_minima(nz: np.ndarray) -> tuple[int, int]:
 def _level_minima(code: ConstacyclicCode, t: int) -> tuple[int, int]:
     """(least weight, least pair weight) over level t of the message side,
     t = 0 standing for the exhaustive scan of every nonzero message.  Each
-    level is encoded once per code and kept for both distances."""
-    levels = code._levels
-    if t not in levels:
-        field, q, k = code.field, code.field.q, code.k
-        if t == 0:
-            if q ** k > 1 << 62:
-                raise OutOfScopeError(f"q^k = {q ** k} overflows the exhaustive scanner")
-            supports, rows, base, shift = [range(k)], range(1, q ** k), q, 0
-        else:
-            R = (q - 1) ** (t - 1)
-            if R > 1 << 48:
-                raise OutOfScopeError(
-                    f"level {t} has {R} value tuples; set a budget to keep scans sane")
-            # rows below (q-1)^(t-1) have leading digit 0: the first value is 1
-            supports, rows, base, shift = itertools.combinations(range(k), t), range(R), q - 1, 1
-        levels[t] = _scan(field, code.standard_form(), supports, rows, base, shift)
-    return levels[t]
+    level is made once per code and its minima kept for both distances; the
+    code also keeps the last level made whole (module docstring)."""
+    minima = code._minima
+    if t not in minima:
+        q, k = code.field.q, code.k
+        if t == 0 and q ** k > 1 << 62:
+            raise OutOfScopeError(f"q^k = {q ** k} overflows the exhaustive scanner")
+        if t and (q - 1) ** (t - 1) > 1 << 48:
+            raise OutOfScopeError(f"level {t} has {(q - 1) ** (t - 1)} value tuples; "
+                                  f"set a budget to keep scans sane")
+        form, G = _additive(code.field), code.standard_form()
+        if t == 0:  # stage s: the q^s words on positions 0..s-1, the zero word first
+            zero = np.zeros((1, form.planes, code.n), form.dtype)
+            blocks, _ = _blocks(form, zero, 0, k, _scaled_rows(form, G, np.arange(q)),
+                                lambda j, s: q ** min(j, s), lambda s: s)
+            blocks = itertools.chain([next(blocks)[1:]], blocks)
+        else:  # stage s: level s, from level 1 (row j, value 1) on
+            kept = code._kept_level
+            s, words = kept if kept and kept[0] < t else (1, form.words(G))
+            rows = _scaled_rows(form, G, np.arange(1, q)) if s < t else None
+            blocks, code._kept_level = _blocks(form, words, s, t, rows,
+                                               lambda j, s: _level_size(q, j, s), lambda s: k)
+        stats = [_stat_minima(_nonzero(block)) for block in blocks]
+        minima[t] = tuple(map(min, zip(*stats)))
+    return minima[t]
 
 
 def check_budget(value, name: str = "budget", least: int = 0) -> None:

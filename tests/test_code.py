@@ -1,6 +1,7 @@
 """Constacyclic codes, the symbol-pair metric, and the distance engines."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
@@ -191,29 +192,30 @@ def test_axpy_matches_field_arithmetic():
 
 
 def test_zech_column_is_built_once_per_field():
-    """Building a code over GF(2^8), running both dependency searches and a
-    bounded scan reads the field's own Zech column, built once with the
-    field: the row update holds the field's tables, and the message-side
-    kernel's arrays are built once, from the same column."""
+    """Building a code over GF(2^8), running both dependency searches and
+    two bounded scans reads the field's own Zech column, built once with the
+    field: the row update holds the field's tables.  The message side's
+    additive form is built once per field, its exp and log from the field's
+    own tables."""
     F = gf.extension_field(2, 8)
     x = Poly.x(F)
     tables = F.exp, F.log, F.zech
-    for cached in (code._axpy, code._log_tables):
+    for cached in (code._axpy, code._additive):
         cached.cache_clear()  # so everything is built here
     root = gf.primitive_element(F)
-    c = ConstacyclicCode(F, 5, F.pow(root, 5), poly.binomial(F, 5, F.pow(root, 5))
-                         // (x - Poly(F, [root])))
+    g = poly.binomial(F, 5, F.pow(root, 5)) // (x - Poly(F, [root]))
+    c = ConstacyclicCode(F, 5, F.pow(root, 5), g)
     code.min_hamming_distance(c, "dependency")
     code.min_pair_distance(c, "dependency")
     code.min_pair_distance(c, "bounded")
-    assert code._log_tables.cache_info().misses == 1
+    code.min_hamming_distance(ConstacyclicCode(F, 5, F.pow(root, 5), g), "bounded")
+    assert code._additive.cache_info().misses == 1
     assert code._axpy.cache_info().misses == 1
     held = [cell.cell_contents for cell in code._axpy(F).__closure__]
     assert all(any(table is h for h in held) for table in tables)
     assert all(a is b for a, b in zip((F.exp, F.log, F.zech), tables))
-    q1 = F.q - 1
-    _log, zech, _norm = code._log_tables(F)
-    assert (zech[:3 * q1] - q1 == F.zech[:q1] * 3).all()
+    exp, log = code._additive(F).logs
+    assert (log[1:] == F.log[1:]).all() and (exp[:2 * (F.q - 1)] == F.exp[:2 * (F.q - 1)]).all()
 
 
 def _gf2048_code(k):
@@ -801,41 +803,31 @@ def test_auto_prices_the_levels_the_loop_runs():
     assert cases == 8284
 
 
-def _log_axpy(field, a, x, y):
-    """a + x y through the kernel's tables (``_log_tables``), as the
-    representation the accumulator holds: a enters as the first term, a * 1,
-    and x y is added as a further term."""
-    log, zech, norm = (table.astype(np.int64) for table in code._log_tables(field))
-    m = field.q - 1
-    acc = norm[log[a] + log[1] + m]
-    lb = log[x] + log[y] + m
-    return norm[acc + zech[lb - acc]]
-
-
-def test_log_tables_compute_a_plus_x_times_y():
-    """The message-side kernel's one sum rule equals ``F.add(a, F.mul(x,
-    y))``: on every triple over small fields and a tower, and on random
-    triples, zeros included, up to GF(2^16)."""
+def test_additive_form_computes_a_plus_x_times_y():
+    """The message side's one sum rule, in its additive form, equals
+    ``F.add(a, F.mul(x, y))``: on every triple over small fields and a
+    tower, and on random triples, zeros and a - a included, up to GF(2^16)
+    and GF(65521).  Each triple is one symbol of a word."""
     rng = np.random.default_rng(22)
     tower = gf.tower_field(F4, 2)
     cases = [(F, *np.meshgrid(*[np.arange(F.q)] * 3, indexing="ij"))
-             for F in (F4, F8, F9, gf.extension_field(5, 2), tower)]
-    for p, m in ((2, 8), (2, 11), (3, 7), (2, 16)):
-        F = gf.extension_field(p, m)
+             for F in (F4, F8, F9, gf.extension_field(5, 2), tower, F7)]
+    for F in [gf.extension_field(p, m) for p, m in ((2, 8), (2, 11), (3, 7), (2, 16))] + [
+            gf.prime_field(2053), gf.prime_field(65521)]:
         a, x, y = rng.integers(0, F.q, size=(3, 3000))
         for v in (a, x, y):
             v[rng.random(v.size) < 0.1] = 0
         x[:300], y[:300] = 1, [F.neg(int(v)) for v in a[:300]]  # a - a = 0
         cases.append((F, a, x, y))
     for F, a, x, y in cases:
-        assert all(not table.flags.writeable for table in code._log_tables(F))
+        form = code._additive(F)
         a, x, y = (v.ravel() for v in (a, x, y))
-        log, _zech, norm = code._log_tables(F)
         expected = [F.add(int(u), F.mul(int(v), int(w))) for u, v, w in zip(a, x, y)]
-        assert (_log_axpy(F, a, x, y) == norm[log[expected] + F.q - 1]).all(), F
-        # the zero sentinel is the only value a zero sum takes
-        assert ((_log_axpy(F, a, x, y) == norm[-1]) == (np.array(expected) == 0)).all()
-    assert code._log_tables(F9) is code._log_tables(gf.extension_field(3, 2))
+        got = form.add(form.words(a), form.words(form.times(x, y)))
+        assert got.dtype == form.dtype and got.shape == (form.planes, len(a))
+        assert np.array_equal(got, form.words(np.array(expected))), F
+        assert np.array_equal(_symbols(F, got[None])[0], expected)
+    assert code._additive(F9) is code._additive(gf.extension_field(3, 2))
 
 
 def _bounded_levels(c, for_pair):
@@ -936,83 +928,120 @@ def test_window_floors_hold_on_every_small_constacyclic_code():
     assert any(lam != 1 for lam, _q in lifted) and any(q == 4 for _lam, q in lifted)
 
 
-def _recorded_blocks(monkeypatch):
-    """Wrap the enumeration kernel; the list fills with (digits, cols, n)."""
+_NONZERO = code._nonzero
+
+
+def _recorded_words(monkeypatch):
+    """Wrap the message side's nonzero mask; the list fills with the words
+    of each block it scans, (rows, planes, n) in the additive form."""
     blocks = []
-    kernel = code._encode_block
 
-    def recording(field, G, digits, cols):
-        blocks.append((digits.copy(), cols.copy(), G.shape[1]))
-        return kernel(field, G, digits, cols)
+    def recording(words):
+        assert words.size <= code._CELL_BUDGET  # every block within budget
+        blocks.append(words.copy())
+        return _NONZERO(words)
 
-    monkeypatch.setattr(code, "_encode_block", recording)
+    monkeypatch.setattr(code, "_nonzero", recording)
     return blocks
 
 
-def _check_level_blocks(blocks, k, t, q):
-    """Every (support, normalised value tuple) pair of level t once: the
-    leading value is 1, the others 1..q-1; no block too big."""
-    rows_by_support = {}
-    powers = (q - 1) ** np.arange(t - 2, -1, -1)
-    for digits, cols, n in blocks:
-        assert cols.shape[0] * digits.shape[0] * n <= code._CELL_BUDGET
-        assert digits.shape[1] == cols.shape[1] == t
-        assert (digits[:, 0] == 1).all()
-        assert digits.min() >= 1 and digits.max() <= q - 1
-        index = (digits[:, 1:] - 1) @ powers  # the value tuple's mixed-radix row
-        for support in map(tuple, cols):
-            rows_by_support.setdefault(support, []).append(index)
-    assert sorted(rows_by_support) == list(itertools.combinations(range(k), t))
-    for chunks in rows_by_support.values():
-        assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange((q - 1) ** (t - 1)))
+def _symbols(field, words):
+    """(rows, planes, n) words of the additive form as (rows, n) canonical
+    integers: one plane holds them, else plane i holds base-p digit i."""
+    powers = field.p ** np.arange(words.shape[1], dtype=np.int64)
+    return (words.astype(np.int64) * powers[:, None]).sum(axis=1)
 
 
-def test_walker_blocks_cover_each_level_once_within_budget(monkeypatch):
+@functools.cache
+def _field_tables(field):
+    """Field.mul and Field.add as q x q arrays (q <= 256)."""
+    elements = range(field.q)
+    return (np.array([[field.mul(a, b) for b in elements] for a in elements]),
+            np.array([[field.add(a, b) for b in elements] for a in elements]))
+
+
+def _assert_codewords(c, rows):
+    """Every row has syndrome H r = 0 (``is_member``): by integer arithmetic
+    mod p over a prime field, by the field's own tables while q <= 256,
+    else row by row."""
+    F, H = c.field, c.parity_check_matrix()
+    if F.base is None:
+        assert not (rows @ H.T % F.q).any()
+    elif F.q <= 256:
+        mul, add = _field_tables(F)
+        syndrome = np.zeros((len(rows), H.shape[0]), dtype=np.int64)
+        for j in range(c.n):
+            syndrome = add[syndrome, mul[H[:, j]][:, rows[:, j]].T]
+        assert not syndrome.any()
+    else:
+        assert all(map(c.is_member, rows.tolist()))
+
+
+def _check_level(c, t, rows):
+    """``rows`` are codewords, one for each scalar class of level t (t = 0:
+    each nonzero message), read back from positions 0..k-1: t nonzeros, the
+    first of them 1."""
+    q, k = c.field.q, c.k
+    _assert_codewords(c, rows)
+    messages = rows[:, :k]
+    assert q ** k < 1 << 63  # so each message has its own int64 key
+    assert len(np.unique(messages @ q ** np.arange(k, dtype=np.int64))) == len(messages)
+    if t == 0:
+        assert len(messages) == q ** k - 1 and messages.any(axis=1).all()
+        return
+    assert len(messages) == code._level_size(q, k, t)
+    assert ((messages != 0).sum(axis=1) == t).all()
+    first = (messages != 0).argmax(axis=1)
+    assert (messages[np.arange(len(messages)), first] == 1).all()
+
+
+def _check_levels(c, blocks, levels):
+    """Split the recorded rows by their message weight, the level that made
+    them, and check each level."""
+    rows = np.concatenate([_symbols(c.field, words) for words in blocks])
+    weight = (rows[:, :c.k] != 0).sum(axis=1)
+    assert sorted(set(weight.tolist())) == list(levels)
+    for t in levels:
+        _check_level(c, t, rows[weight == t])
+
+
+def test_level_blocks_cover_each_level_once_within_budget(monkeypatch):
     binary = ConstacyclicCode.from_defining_set(F2, 31, [1, 3], expand=True)  # [31,21]
     gf11 = ConstacyclicCode.from_defining_set(gf.prime_field(11), 10, [1, 2, 3, 4])  # [10,6]
-    cases = (
-        (binary, 5, "batched"),   # 20349 supports of one value row, several per block
-        (gf11, 6, "sliced"),      # 10^5 value rows on the one support, sliced
-    )
-    for c, t, shape in cases:
-        blocks = _recorded_blocks(monkeypatch)
-        q, k, n = c.field.q, c.k, c.n
-        R = (q - 1) ** (t - 1)
-        code._scan(c.field, c.standard_form(), itertools.combinations(range(k), t),
-                   range(R), q - 1, 1)
-        assert (R > code._CELL_BUDGET // n) == (shape == "sliced")
+    for c, t in ((binary, 5), (gf11, 6)):  # 20349 and 10^5 classes: kept levels
+        blocks = _recorded_words(monkeypatch)
+        code._level_minima(c, t)
         assert len(blocks) > 1
-        assert all(len(cols) > 1 for _d, cols, _n in blocks) == (shape == "batched")
-        _check_level_blocks(blocks, k, t, q)
+        _check_levels(c, blocks, [t])
+    # above the kept-level cap: levels 1..7 of the [31,21] code are kept
+    # whole, 8 and 9 stream from level 7 (9 through one more position)
+    c = ConstacyclicCode(F2, 31, 1, binary.g)
+    assert (code._level_size(2, 21, 7) * 31 <= code._KEEP_CELLS
+            < code._level_size(2, 21, 8) * 31 < code._level_size(2, 21, 9) * 31)
+    blocks = _recorded_words(monkeypatch)
+    code._level_minima(c, 9)
+    code._level_minima(c, 8)
+    assert c._kept_level[0] == 7
+    _check_levels(c, blocks, [8, 9])
     # the levels of a real scan: this code's pair distance takes levels 1..3
     ternary = _ternary_28_6()
-    blocks = _recorded_blocks(monkeypatch)
+    blocks = _recorded_words(monkeypatch)
     code.min_pair_distance(ternary, "bounded")
-    levels = sorted({digits.shape[1] for digits, _c, _n in blocks})
-    assert levels == [1, 2, 3]
-    for t in levels:
-        _check_level_blocks([b for b in blocks if b[0].shape[1] == t], ternary.k, t, 3)
+    _check_levels(ternary, blocks, [1, 2, 3])
 
 
-def test_walker_exhaustive_scan_is_one_support(monkeypatch):
+def test_exhaustive_scan_lists_every_nonzero_message_once(monkeypatch):
     ternary = ConstacyclicCode.from_defining_set(F3, 13, [1, 3, 9])  # [13,10]
     q, k = 3, ternary.k
     calls = []
     standard_form = ConstacyclicCode.standard_form
     monkeypatch.setattr(ConstacyclicCode, "standard_form",
                         lambda self: calls.append(1) or standard_form(self))
-    blocks = _recorded_blocks(monkeypatch)
+    blocks = _recorded_words(monkeypatch)
     result = code.min_hamming_distance(ternary, "exhaustive")
     assert result.enumeration_count == q ** k - 1
-    assert len(calls) == 1 and len(blocks) == 3  # 59048 rows, 20164 per block
-    powers = q ** np.arange(k - 1, -1, -1)
-    seen = []
-    for digits, cols, n in blocks:
-        assert cols.shape[0] * digits.shape[0] * n <= code._CELL_BUDGET
-        assert cols.tolist() == [list(range(k))]
-        assert digits.min() >= 0 and digits.max() <= q - 1
-        seen.append(digits @ powers)
-    assert np.array_equal(np.concatenate(seen), np.arange(1, q ** k))
+    assert len(calls) == 1 and len(blocks) == 3  # 59048 words, 20164 per block
+    _check_level(ternary, 0, np.concatenate([_symbols(F3, words) for words in blocks]))
 
 
 def _low_rate_codes():
@@ -1026,13 +1055,11 @@ def _low_rate_codes():
 def test_analyze_encodes_each_message_side_level_once(monkeypatch):
     from sympair import report
     for c in _low_rate_codes():
-        blocks = _recorded_blocks(monkeypatch)
+        blocks = _recorded_words(monkeypatch)
         r = report.analyze(c)
         assert r.d_hamming.method == r.d_pair.method == "bounded_weight"
-        levels = sorted({digits.shape[1] for digits, _c, _n in blocks})
-        assert levels == [1, 2, 3]
-        for t in levels:  # every (support, value row) once, over both distances
-            _check_level_blocks([b for b in blocks if b[0].shape[1] == t], c.k, t, c.field.q)
+        # every scalar class of levels 1..3 once, over both distances
+        _check_levels(c, blocks, [1, 2, 3])
         # each distance still reports the levels its own proof needs
         for distance, alone in ((code.min_hamming_distance, r.d_hamming),
                                 (code.min_pair_distance, r.d_pair)):
@@ -1123,63 +1150,42 @@ def test_auto_prices_a_dependency_search_with_no_level():
         assert code.min_hamming_distance(CODE_1_1, strategy) == code.DistanceResult(1, method, count)
 
 
-def test_encode_block_matches_encode_at_every_dtype_boundary():
-    """The kernel's nonzero mask equals that of m(x) g(x), message by message,
-    on random blocks of both shapes: many supports with few value rows, and
-    one support with many.  The codes reach every kernel dtype: float32 and
-    float64 products (int32 / int64 reduction) and int16 and int32 table
-    indices."""
-    rng = np.random.default_rng(14)
-    cases = (  # (field, n, defining set): n divides q - 1 except over GF(2)
-        (F2, 7, [1]),                              # [7,4]
-        (F7, 6, [1, 2]),                           # [6,4]
-        (gf.prime_field(2053), 19, [1, 2, 3, 4, 5]),  # [19,14]: float32 to t = 3, float64 from 4
-        (gf.prime_field(65521), 13, [1, 2, 3, 4]),    # [13,9]: float64 at every t
-        (F4, 5, [1]),                              # [5,3]
-        (F9, 8, [1, 2]),                           # [8,6]
-        (gf.extension_field(2, 8), 17, [1, 2]),    # [17,15]
-        (gf.extension_field(2, 10), 11, [1, 2]),   # [11,9]: 14 (q - 1) < 2^15, int16
-        (gf.extension_field(2, 12), 13, [1, 2]),   # [13,11]: int32
+def test_level_rows_are_codewords_at_every_storage_dtype(monkeypatch):
+    """Every row the message side scans is a codeword whose positions 0..k-1
+    are its message, once per scalar class (exhaustive scan: once per nonzero
+    message), over prime, extension and tower fields.  The codes reach every
+    storage dtype and both ways of making the scaled rows (one table, or one
+    position at a time).  A second pass with caps of 256 cells a block and
+    1024 kept streams every level above 1 in blocks of a few words."""
+    cases = (  # (field, n, defining set, scans): n divides q - 1 except over GF(2)
+        (F2, 7, [1], [0, 1, 2, 3, 4]),                             # [7,4]
+        (F3, 13, [1], [0, 1, 2, 3]),                               # [13,10]
+        (F7, 6, [1, 2], [0, 1, 2, 3, 4]),                          # [6,4]
+        (gf.prime_field(2053), 76, range(74), [1, 2]),             # [76,2]: uint16
+        (gf.prime_field(65521), 5, [1, 2, 3], [1, 2]),             # [5,2]: uint32
+        (F4, 5, [1], [0, 1, 2, 3]),                                # [5,3]
+        (F9, 8, range(1, 6), [0, 1, 2, 3]),                        # [8,3]: two digit planes
+        (gf.extension_field(2, 8), 17, range(1, 16), [0, 1, 2]),   # [17,2]
+        (gf.extension_field(2, 10), 11, range(1, 10), [1, 2]),     # [11,2]: uint16
+        (gf.extension_field(2, 12), 35, range(33), [1, 2]),        # [35,2]: uint16
+        (gf.tower_field(F4, 2), 5, [1], [0, 1, 2, 3, 4]),          # [5,4] over GF(4^2)
     )
-    kernels = set()
-    for field, n, exponents in cases:
-        c = ConstacyclicCode.from_defining_set(field, n, exponents, expand=True)
-        q, k = field.q, c.k
-        G = c.generator_matrix()
-        blocks = []
-        for t in (1, 2, 3):  # many supports, few rows
-            supports = list(itertools.combinations(range(k), t))
-            picked = rng.permutation(len(supports))[:40]
-            blocks.append((rng.integers(1, q, size=(3, t)),
-                           np.array([supports[i] for i in picked], dtype=np.intp)))
-        for support in (sorted(rng.permutation(k)[:3]), range(k)):  # one support, many rows
-            digits = rng.integers(0, q, size=(64, len(support)))
-            digits[0] = q - 1
-            for row in digits[1:]:
-                # the last value makes the word 0 at a column j: a dot product
-                # that is a nonzero multiple of q, as large as the field allows
-                j = rng.choice(np.flatnonzero(G[support[-1]]))
-                s = 0
-                for i, v in zip(support[:-1], row):
-                    s = field.add(s, field.mul(int(v), int(G[i, j])))
-                row[-1] = field.mul(field.neg(s), field.inv(int(G[support[-1], j])))
-            blocks.append((digits, np.array([support], dtype=np.intp)))
-        for digits, cols in blocks:
-            t = digits.shape[1]
-            if field.base is None:
-                kernels.add("float32" if (q - 1) ** 2 * t < 1 << 24 else "float64")
-            else:
-                kernels.add(code._log_tables(field)[0].dtype.name)
-            mask = code._encode_block(field, G, digits, cols)
-            assert mask.shape == (len(cols), len(digits), n)
-            for b, support in enumerate(cols):
-                for r, values in enumerate(digits):
-                    message = [0] * k
-                    for i, v in zip(support, values):
-                        message[i] = int(v)
-                    word = c.encode(message)
-                    assert mask[b, r].tolist() == [v != 0 for v in word], (q, t)
-    assert kernels == {"float32", "float64", "int16", "int32"}
+    dtypes, by_position = set(), set()
+    for tiny in (False, True):
+        if tiny:
+            monkeypatch.setattr(code, "_CELL_BUDGET", 256)
+            monkeypatch.setattr(code, "_KEEP_CELLS", 1024)
+        for field, n, exponents, scans in cases:
+            c = ConstacyclicCode.from_defining_set(field, n, exponents, expand=True)
+            form = code._additive(field)
+            dtypes.add(form.dtype.name)
+            if not tiny:
+                by_position.add(c.k * (field.q - 1) * form.planes * n > code._CELL_BUDGET)
+            for t in scans:
+                blocks = _recorded_words(monkeypatch)
+                code._level_minima(c, t)
+                _check_level(c, t, np.concatenate([_symbols(field, w) for w in blocks]))
+    assert dtypes == {"uint8", "uint16", "uint32"} and by_position == {False, True}
 
 
 def test_engines_agree_over_a_float64_field():
