@@ -330,8 +330,18 @@ def test_primitive_cube_root_examples():
         gf.primitive_cube_root(5)
 
 
+def _sieve(limit: int) -> set[int]:
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    composite = bytearray(limit)
+    for d in range(2, limit):
+        if not composite[d]:
+            composite[d * d::d] = b"\x01" * len(range(d * d, limit, d))
+    return {n for n in range(2, limit) if not composite[n]}
+
+
 def test_primitive_cube_root_is_smallest_nontrivial():
-    for p in (7, 13, 19, 31, 37, 43):
+    """Every prime p = 1 mod 3 below 1000."""
+    for p in sorted(p for p in _sieve(1000) if p % 3 == 1):
         omega = gf.primitive_cube_root(p)
         field = gf.prime_field(p)
         assert omega != 1
@@ -349,6 +359,8 @@ def test_field_equality_and_serialization():
 
 
 def test_is_prime_small_values():
-    primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    for n in range(2, 50):
+    """Every n below 5000, negatives and 0 included, against a sieve."""
+    primes = _sieve(5000)
+    assert len(primes) == 669
+    for n in range(-3, 5000):
         assert gf.is_prime(n) == (n in primes)
