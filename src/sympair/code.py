@@ -526,7 +526,8 @@ def _axpy(field: gf.Field):
     1990), read from the field's ``exp``, ``log`` and ``zech`` tables: -c b
     = gen^y for y = log c + log b + log(-1), so w_i - c b is gen^y when
     w_i = 0, else gen^(log w_i + z[y - log w_i]) (exponents mod q - 1).  exp
-    is doubled, and z's 2(q - 1) reads the tail of q - 1 zeros after it."""
+    is doubled, and z's 2(q - 1) reads its zero tail (which gives 0, not
+    gen^y, for w_i = 0)."""
     if field.base is None:
         p = field.q
 
@@ -558,7 +559,8 @@ class _Additive:
     """A field in the message side's additive form, built once per field at
     its first scan (``_additive``).  A word is ``planes`` rows of n symbols:
     one of canonical integers, added by XOR, when p = 2; else m of base-p
-    digits, added mod p.  ``dtype`` holds a symbol, or two digits' sum."""
+    digits, added mod p.  ``dtype`` holds a symbol, or two digits' sum.
+    ``logs`` is an extension field's own exp and log as int32."""
 
     def __init__(self, field: gf.Field):
         p = self.p = field.p
@@ -566,12 +568,8 @@ class _Additive:
         self.dtype = np.min_scalar_type(field.q - 1 if p == 2 else 2 * (p - 1))
         self.powers = p ** np.arange(self.planes)[:, None]
         self.logs = None
-        if field.base is not None:  # log 0 = 2(q - 1) points into exp's zero tail
-            q1, log = field.q - 1, np.array(field.log, np.int32)
-            log[0] = 2 * q1
-            exp = np.zeros(4 * q1 + 1, np.int32)
-            exp[log[1:]] = exp[log[1:] + q1] = np.arange(1, field.q)
-            self.logs = exp, log
+        if field.base is not None:  # the field's own layout: exp[log a + log b] = a b
+            self.logs = np.array(field.exp, np.int32), np.array(field.log, np.int32)
 
     def times(self, a, b: np.ndarray) -> np.ndarray:
         """The canonical products a b (broadcast)."""

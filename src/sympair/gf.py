@@ -14,9 +14,9 @@ deterministic and cheap at desk scale, but *not* the Conway polynomial
 convention, so canonical integers are not portable across systems.
 
 Splitting fields needed to locate roots of x^n - 1 over a non-prime base
-field are built as towers GF(q)[y]/(h(y)) with the same ascending-scan
-modulus rule; their canonical integers coincide with the base-p flattening
-of the nested coordinates.
+field are built as towers GF(q)[y]/(h(y)) by the same builder and modulus
+rule; their canonical integers coincide with the base-p flattening of the
+nested coordinates.
 
 So at every tower level a canonical integer is a base-p digit vector over
 GF(p).  An extension or tower field builds exp, log and Zech tables once,
@@ -29,8 +29,9 @@ one matmul mod p over all q digit vectors giving ``step[a] = a * gen``, and
 a walk of the orbit of 1 through ``step``.  1 + a adds 1 mod p to a's
 lowest digit, so the Zech logarithms z[e] = log(1 + gen^e) (Huber, IEEE
 T-IT 36(4), 1990) take one lookup an element.  Every extension-field
-operation, here and in :mod:`sympair.code`, reads these tables: a product
-adds logs, and gen^a + gen^b = gen^(a + z[b - a]).
+operation, here and in :mod:`sympair.code`, reads these tables in the one
+layout ``Field`` documents: a product adds logs, zero included (log 0 points
+into a zero tail of exp), and gen^a + gen^b = gen^(a + z[b - a]).
 """
 
 from __future__ import annotations
@@ -55,18 +56,7 @@ Q_LIMIT = 1 << 16
 
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division (fine for n < Q_LIMIT^2)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and prime_factors(n) == (n,)
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,6 +75,15 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _digits(a: int, b: int, count: int) -> list[int]:
+    """The ``count`` lowest base-b digits of a, little-endian."""
+    out = []
+    for _ in range(count):
+        a, d = divmod(a, b)
+        out.append(d)
+    return out
+
+
 class Field:
     """A finite field GF(p^m) with a fixed modulus and canonical-integer elements.
 
@@ -93,9 +92,10 @@ class Field:
     :func:`tower_field`.  Fields are immutable and hashable.
 
     An extension field's read-only tables (None over a prime field): ``exp``
-    is gen^0..gen^(q-2) twice, then q - 1 zeros; ``log[a]`` is in 0..q-2
-    (log[0] = 0 is never read); ``zech`` is z[0..q-2] twice, z[e] = 2(q - 1)
-    where 1 + gen^e = 0.  So exp[sum of two logs] and exp[log + z[e]] need
+    is gen^0..gen^(q-2) twice, then 2(q - 1) + 1 zeros; ``log[a]`` is in
+    0..q-2, and log[0] = 2(q - 1) points into exp's zero tail; ``zech`` is
+    z[0..q-2] twice, z[e] = 2(q - 1) where 1 + gen^e = 0.  So exp[log a +
+    log b] = a b for every a and b, zero included, exp[log a + z[e]] needs
     no reduction, and z reads any e from -2(q - 1) to 2q - 3 mod q - 1.
     """
 
@@ -112,9 +112,6 @@ class Field:
         else:
             self.q = base.q ** r
             self.m = base.m * r
-        if self.q > Q_LIMIT:
-            raise OutOfScopeError(
-                f"field order {self.q} exceeds the supported limit {Q_LIMIT}")
         self._gen: int | None = None
         self._hash = hash((self.p, self.q, self.modulus, self.base))
         self.exp = self.log = self.zech = None
@@ -146,11 +143,7 @@ class Field:
 
     def coords(self, a: int) -> tuple[int, ...]:
         """Base-p coordinates of a canonical integer, little-endian, length m."""
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(_digits(a, self.p, self.m))
 
     def from_coords(self, coords) -> int:
         value = 0
@@ -179,7 +172,7 @@ class Field:
         if self.base is None:
             return (-a) % self.p
         # -1 is the canonical integer p - 1
-        return self.exp[self.log[a] + self.log[self.p - 1]] if a else 0
+        return self.exp[self.log[a] + self.log[self.p - 1]]
 
     def sub(self, a: int, b: int) -> int:
         if self.base is None:
@@ -207,7 +200,7 @@ class Field:
         digits = np.arange(self.q, dtype=np.int64)[:, None] // places % p
         step = ((digits @ image % p) @ places).tolist()
         exp = [0] * q1
-        log = [0] * self.q
+        log = [2 * q1] * self.q
         acc = 1
         for i in range(q1):
             exp[i] = acc
@@ -215,13 +208,11 @@ class Field:
             acc = step[acc]
         assert acc == 1, "generator order mismatch"
         zech = [log[s] if (s := a - a % p + (a + 1) % p) else 2 * q1 for a in exp]
-        return tuple(exp * 2 + [0] * q1), tuple(log), tuple(zech * 2)
+        return tuple(exp * 2 + [0] * (2 * q1 + 1)), tuple(log), tuple(zech * 2)
 
     def mul(self, a: int, b: int) -> int:
         if self.base is None:
             return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
         return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
@@ -274,13 +265,7 @@ def prime_field(p: int) -> Field:
 def extension_field(p: int, m: int) -> Field:
     """GF(p^m) with the smallest monic irreducible modulus in canonical-value order."""
     require_int(m, "extension degree", least=1)
-    base = prime_field(p)
-    if m == 1:
-        return base
-    # p >= 2, so p^m > Q_LIMIT once m reaches its bit length: no huge power
-    if m >= Q_LIMIT.bit_length() or p ** m > Q_LIMIT:
-        raise OutOfScopeError(f"field order {p}^{m} exceeds the supported limit {Q_LIMIT}")
-    return Field(p, _scan_modulus(base, m), base)
+    return _extend(prime_field(p), m, "field order")
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -291,32 +276,26 @@ def tower_field(base: Field, r: int) -> Field:
     non-prime bases are used internally as splitting fields for x^n - 1.
     """
     require_int(r, "extension degree", least=1)
-    if r == 1:
-        return base
     if base.base is None:
         return extension_field(base.p, r)
-    # base.q >= 4 here, so base.q^r > Q_LIMIT once r reaches its bit length
-    if r >= Q_LIMIT.bit_length() or base.q ** r > Q_LIMIT:
-        raise OutOfScopeError(
-            f"splitting field order {base.q}^{r} exceeds the supported limit {Q_LIMIT}")
-    return Field(base.p, _scan_modulus(base, r), base)
+    return _extend(base, r, "splitting field order")
 
 
-def _scan_modulus(base: Field, r: int) -> tuple[int, ...]:
-    """First monic irreducible of degree r over ``base`` in ascending canonical value."""
+def _extend(base: Field, r: int, what: str) -> Field:
+    """Degree-r extension of ``base`` by the first monic irreducible of
+    degree r in ascending canonical value (its coefficients are the base-q
+    digits of the value, then 1)."""
     from . import poly  # deferred: poly imports this module at load time
 
-    bq = base.q
-    for value in range(bq ** r):
-        coeffs = []
-        v = value
-        for _ in range(r):
-            coeffs.append(v % bq)
-            v //= bq
-        coeffs.append(1)
-        candidate = poly.Poly(base, coeffs)
-        if poly.is_irreducible(candidate):
-            return tuple(coeffs)
+    if r == 1:
+        return base
+    # q >= 2, so q^r > Q_LIMIT once r reaches its bit length: no huge power
+    if r >= Q_LIMIT.bit_length() or base.q ** r > Q_LIMIT:
+        raise OutOfScopeError(f"{what} {base.q}^{r} exceeds the supported limit {Q_LIMIT}")
+    for value in range(base.q ** r):
+        coeffs = _digits(value, base.q, r) + [1]
+        if poly.is_irreducible(poly.Poly(base, coeffs)):
+            return Field(base.p, coeffs, base)
     raise AssertionError(f"no irreducible of degree {r} over {base!r}")  # unreachable
 
 
@@ -359,7 +338,7 @@ def _over_base(field: Field):
 
     base, r = field.base, len(field.modulus) - 1
     return (poly.Poly(base, field.modulus),
-            lambda a: poly.Poly._trusted(base, [a // base.q ** j % base.q for j in range(r)]))
+            lambda a: poly.Poly._trusted(base, _digits(a, base.q, r)))
 
 
 def nth_roots_of_unity(field: Field, n: int) -> list[int]:
@@ -397,11 +376,9 @@ def primitive_root_of_unity(field: Field, n: int) -> int:
 
 
 def primitive_cube_root(p: int) -> int:
-    """The smallest nontrivial cube root of unity in GF(p); needs p = 1 mod 3."""
-    prime_field(p)  # validates p
+    """The smallest nontrivial cube root of unity in GF(p), the smallest
+    element of order 3; needs p = 1 mod 3."""
+    field = prime_field(p)  # validates p
     if (p - 1) % 3 != 0:
         raise NoCubeRootError(f"GF({p}) has no primitive cube root of unity (3 does not divide {p - 1})")
-    for x in range(2, p):
-        if pow(x, 3, p) == 1:
-            return x
-    raise AssertionError("unreachable: cube roots exist when 3 | p - 1")
+    return primitive_root_of_unity(field, 3)

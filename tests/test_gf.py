@@ -207,8 +207,8 @@ def test_exp_log_tables_match_schoolbook_walk():
         q1 = field.q - 1
         exp, log, zech = field.exp, field.log, field.zech
         assert all(isinstance(table, tuple) for table in (exp, log, zech))
-        assert len(exp) == 3 * q1 and len(log) == field.q and len(zech) == 2 * q1
-        assert exp[q1:2 * q1] == exp[:q1] and exp[2 * q1:] == (0,) * q1
+        assert len(exp) == 4 * q1 + 1 and len(log) == field.q and len(zech) == 2 * q1
+        assert exp[q1:2 * q1] == exp[:q1] and exp[2 * q1:] == (0,) * (2 * q1 + 1)
         assert zech[q1:] == zech[:q1]
         g = gf.primitive_element(field)
         acc = 1
@@ -219,7 +219,7 @@ def test_exp_log_tables_match_schoolbook_walk():
             assert zech[i] == (log[one_plus] if one_plus else 2 * q1)
             acc = _nested_mul(field, acc, g)
         assert acc == 1
-        assert log[0] == 0
+        assert log[0] == 2 * q1
     f7 = gf.prime_field(7)
     assert (f7.exp, f7.log, f7.zech) == (None, None, None)
 
