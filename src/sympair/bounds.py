@@ -32,6 +32,7 @@ from . import gf, poly
 from .code import ConstacyclicCode, Ledger, min_hamming_distance
 from .errors import (
     BudgetExceededError,
+    LengthTooShortError,
     NotCoprimeError,
     NotRepeatedRootError,
     NotUnionOfCosetsError,
@@ -342,10 +343,12 @@ class BoundReport:
 
 
 def bound_report(code: ConstacyclicCode, d_hamming: int | None = None) -> BoundReport:
-    """Aggregate all applicable bounds for a code (k >= 1); ``d_hamming``,
-    when given, must be an integer in 1..n."""
+    """Aggregate all applicable bounds for a code (k >= 1, n >= 2);
+    ``d_hamming``, when given, must be an integer in 1..n."""
     if code.k == 0:
         raise ZeroCodeError("bounds are reported for nonzero codes only")
+    if code.n < 2:
+        raise LengthTooShortError("pair bounds need n >= 2")
     if d_hamming is not None:
         require_int(d_hamming, "d_H", 1, code.n)
     if d_hamming is not None and 2 <= d_hamming < code.n and code.k < code.n:

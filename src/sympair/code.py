@@ -160,8 +160,8 @@ _H_CELL_LIMIT = 1 << 24
 #: auto strategy uses exhaustive scan below this many codewords.
 _AUTO_EXHAUSTIVE_LIMIT = 1 << 12
 
-#: auto's unit costs in microseconds, (prime field, extension field), as
-#: measured in the module docstring.
+#: auto's unit costs in microseconds, as measured in the module docstring: a
+#: level's by metric (Hamming, pair), the others by field (prime, extension).
 _LEVEL_US = (50, 69)         # fixed cost of one message-side level (Hamming, pair)
 _SYMBOL_US = (0.04, 0.07)    # one encoded symbol (an encoding is n of them)
 _REDUCTION_US = (1.0, 1.5)   # one worst-case column reduction
@@ -735,7 +735,8 @@ def _dependency_levels(n: int, k: int, for_pair: bool) -> tuple[tuple[int, int],
     no support of more than n - k + 1 positions (its first n - k + 1 columns
     are already dependent), so the bound is exact when nothing is found: a
     support of s positions in t runs within 0..n-2 is a composition of s
-    into t parts, with t - 1 nonempty gaps of zeros and one trailing gap.
+    into t parts, with t - 1 nonempty gaps of zeros and one trailing gap:
+    C(s - 1, t - 1) C(n - 1 - s, t - 1) supports of cost s (+ t if pair).
     At the Singleton ceiling (k >= 2) the first descent 0, 1, 2, ... reaches
     a full-rank prefix and stops there, which bounds that level by
     1 + (n - k)(n - 2) as well.
@@ -743,11 +744,8 @@ def _dependency_levels(n: int, k: int, for_pair: bool) -> tuple[tuple[int, int],
     r, m = n - k, n - 1
     exact = [0] * (n + 1)
     for s in range(1, min(m, r + 1) + 1):
-        if for_pair:
-            for runs in range(1, min(s, m - s + 1) + 1):
-                exact[s + runs] += math.comb(s - 1, runs - 1) * math.comb(m - s, runs - 1)
-        else:
-            exact[s] += math.comb(m - 1, s - 1)
+        for runs in range(1, min(s, m - s + 1) + 1):
+            exact[s + for_pair * runs] += math.comb(s - 1, runs - 1) * math.comb(m - s, runs - 1)
     first, last = 1 + for_pair, (r + 1 if k >= 2 else n - 1) + for_pair
     levels = list(zip(range(first, last + 1), itertools.accumulate(exact[first:last + 1])))
     if k >= 2:

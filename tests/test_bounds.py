@@ -389,6 +389,15 @@ def test_bound_report_rejects_out_of_range_distance():
                 bounds.bound_report(c, d_hamming=d_h)
 
 
+def test_bound_report_rejects_length_one():
+    """The valid [1, 1] code has no pair bounds: the same typed error as its
+    pair distance, whether or not d_H is given."""
+    one = ConstacyclicCode.from_generator(F5, 1, 1, Poly.one(F5))
+    for d_h in (None, 1):
+        with pytest.raises(errors.LengthTooShortError, match="n >= 2"):
+            bounds.bound_report(one, d_hamming=d_h)
+
+
 def test_bound_report_rejects_zero_code():
     zero = ConstacyclicCode.from_generator(F5, 15, 1, poly.binomial(F5, 15, 1))
     with pytest.raises(errors.ZeroCodeError):

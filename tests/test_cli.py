@@ -72,6 +72,13 @@ def test_analyze_malformed_spec_is_input_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_analyze_length_one_code_is_input_error(tmp_path, capsys):
+    spec = _write_spec(tmp_path, {"p": 5, "m": 1, "n": 1, "lambda": 1, "generator": [1]})
+    rc = cli.main(["analyze", spec])
+    assert rc == cli.EXIT_INPUT == 2
+    assert "n >= 2" in capsys.readouterr().err
+
+
 def test_analyze_non_utf8_spec_is_input_error(tmp_path, capsys):
     bad = tmp_path / "binary.json"
     bad.write_bytes(b"\xff\xfe\x00bad")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sympair import code, constructions, errors, gf, poly
+from sympair import code, constructions, errors, gf
 from sympair.code import ConstacyclicCode
 from sympair.poly import Poly
 
